@@ -251,9 +251,12 @@ type StratumProfile struct {
 	// the columnar path.
 	Mode       string `json:"mode"`
 	Vectorized bool   `json:"vectorized,omitempty"`
-	Rounds     int    `json:"rounds"`
-	WallNS     int64  `json:"wall_ns"`
-	Firings    int    `json:"firings"`
+	// Fallback is why the stratum is not on delta iteration ("" when it
+	// is), e.g. "oid invention in rule #3".
+	Fallback string `json:"fallback,omitempty"`
+	Rounds   int    `json:"rounds"`
+	WallNS   int64  `json:"wall_ns"`
+	Firings  int    `json:"firings"`
 	// Delta is the per-round delta curve.
 	Delta []int `json:"delta,omitempty"`
 	// Facts is the fact count when the stratum closed.

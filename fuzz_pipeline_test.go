@@ -21,6 +21,7 @@ classes
   STUDENT isa PERSON;
 associations
   PARENT = (par: NAME, chil: NAME);
+  ANC = (a: NAME, d: NAME);
 functions
   DESC: NAME -> {NAME};
 `,
@@ -49,6 +50,20 @@ rules
   <- tc(src: 0, dst: 0).
 goal
   ?- tc(src: X), X > 1.
+end.
+`,
+	// A closure sharing its depth with oid invention, under the
+	// generated person ⊒ student isa rule.
+	`
+mode ridi.
+rules
+  parent(par: "a", chil: "b").
+  parent(par: "b", chil: "c").
+  student(self: S, name: N, school: "u") <- parent(chil: N).
+  anc(a: X, d: Y) <- parent(par: X, chil: Y).
+  anc(a: X, d: Z) <- anc(a: X, d: Y), parent(par: Y, chil: Z).
+goal
+  ?- anc(a: "a", d: D), person(name: D).
 end.
 `,
 	`

@@ -79,6 +79,7 @@ type Program struct {
 	denials []*crule
 
 	strata     [][]*crule
+	fallbacks  []fallback // per stratum: why delta iteration does not apply
 	stratified bool
 	stats      *Stats
 	guard      *guard.Guard
@@ -172,7 +173,7 @@ func Compile(schema *types.Schema, rules []*ast.Rule, opts Options) (*Program, e
 			p.rules = append(p.rules, cr)
 		}
 	}
-	p.computeStrata()
+	p.computeStrata(true)
 	return p, nil
 }
 

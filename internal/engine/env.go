@@ -187,11 +187,18 @@ func evalFuncApp(app ast.FuncApp, e *env, f *FactSet) (value.Value, error) {
 	} else if len(app.Args) > 1 {
 		return nil, fmt.Errorf("engine: function %q applied to %d arguments", app.Name, len(app.Args))
 	}
+	// The component index buckets by value key, i.e. by value.Equal. It
+	// files a fact without an argument under null, so a null argument
+	// re-checks that the fact has one.
+	facts := f.Facts(app.Name)
+	if argVal != nil {
+		facts = f.FactsByComponent(app.Name, FuncArgLabel, argVal)
+	}
+	_, nullArg := argVal.(value.Null)
 	var members []value.Value
-	for _, fact := range f.Facts(app.Name) {
-		if argVal != nil {
-			got, ok := fact.Tuple.Get(FuncArgLabel)
-			if !ok || !value.Equal(got, argVal) {
+	for _, fact := range facts {
+		if nullArg {
+			if _, ok := fact.Tuple.Get(FuncArgLabel); !ok {
 				continue
 			}
 		}

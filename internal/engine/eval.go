@@ -800,21 +800,21 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 		stratum := p.strata[i]
 		p.guard.SetStratum(i)
 		var err error
-		if p.opts.SemiNaive && stratumSemiNaiveEligible(stratum) {
+		if fb := p.stratumFallback(i); fb == "" {
 			p.stats.SemiNaiveStrata++
-			if vs, ok := p.vecPlan(stratum); ok {
+			if vs, ok := p.vecPlan(i); ok {
 				// Columnar path: same round structure, same results;
 				// worker/shard counts do not apply (the kernels are
 				// batch-at-a-time), so determinism is trivial here.
 				p.stats.VectorizedStrata++
-				p.traceStratumBegin(i, stratum, "semi-naive (vectorized)")
+				p.traceStratumBegin(i, stratum, "semi-naive (vectorized)", "")
 				f, err = p.semiNaiveVectorized(vs, f, counter)
 			} else {
-				p.traceStratumBegin(i, stratum, "semi-naive")
+				p.traceStratumBegin(i, stratum, "semi-naive", "")
 				f, err = p.semiNaive(stratum, f, counter)
 			}
 		} else {
-			p.traceStratumBegin(i, stratum, "one-step inflationary")
+			p.traceStratumBegin(i, stratum, "one-step inflationary", fb)
 			f, err = p.fixpoint(stratum, f, counter)
 		}
 		if err != nil {

@@ -67,7 +67,7 @@ func (p *Program) runNoninflationary(e *FactSet, counter *int64) (*FactSet, erro
 	for _, stratum := range p.strata {
 		rules = append(rules, stratum...)
 	}
-	p.traceStratumBegin(-1, rules, "non-inflationary")
+	p.traceStratumBegin(-1, rules, "non-inflationary", "")
 	for step := 0; ; step++ {
 		if err := p.checkRound(step, f, "the non-inflationary semantics is undefined when no fixpoint is reached"); err != nil {
 			return nil, err

@@ -11,40 +11,107 @@ import "fmt"
 // operator enables in the paper's prototype; experiment E1 quantifies the
 // gap against naive iteration.
 
-// stratumSemiNaiveEligible reports whether delta iteration is sound for
-// every rule of the stratum.
-func stratumSemiNaiveEligible(stratum []*crule) bool {
+// FallbackReason names the first construct that keeps a stratum off
+// delta iteration and on the one-step inflationary operator.
+type FallbackReason string
+
+const (
+	// FallbackNoHead: a rule without a head.
+	FallbackNoHead FallbackReason = "no head"
+	// FallbackDeletion: a deletion head removes facts, which delta
+	// iteration cannot retract.
+	FallbackDeletion FallbackReason = "deletion"
+	// FallbackInvention: an oid-inventing rule, whose numbering depends
+	// on the one-step operator's valuation order.
+	FallbackInvention FallbackReason = "oid invention"
+	// FallbackClassHead: a class head may overwrite o-values through ⊕.
+	FallbackClassHead FallbackReason = "class head"
+	// FallbackADNegation: a negated literal enumerating the active
+	// domain, which grows with every round.
+	FallbackADNegation FallbackReason = "active-domain negation"
+	// FallbackFuncRead: a read of a data function defined in the same
+	// stratum sees new members without a positive literal over them, so
+	// delta restriction would miss those derivations.
+	FallbackFuncRead FallbackReason = "same-stratum function read"
+	// FallbackDisabled: semi-naive evaluation is switched off.
+	FallbackDisabled FallbackReason = "semi-naive disabled"
+)
+
+// fallback is the first reason a stratum cannot run under delta
+// iteration and the rule that carries it; the zero value means the
+// stratum is eligible.
+type fallback struct {
+	reason FallbackReason
+	rule   *crule
+}
+
+// String renders the reason for Explain and profiles ("" when eligible).
+func (f fallback) String() string {
+	if f.rule == nil {
+		return string(f.reason)
+	}
+	return fmt.Sprintf("%s in rule #%d", f.reason, f.rule.id)
+}
+
+// semiNaiveFallback reports the first reason delta iteration is unsound
+// for the stratum — in rule order, checking each rule for deletion,
+// invention, a class head, active-domain negation and a same-stratum
+// function read — or the zero fallback when every rule is monotone.
+func semiNaiveFallback(stratum []*crule) fallback {
 	headPreds := map[string]bool{}
 	for _, r := range stratum {
 		if r.head == nil {
-			return false
+			return fallback{FallbackNoHead, r}
 		}
 		headPreds[r.head.pred] = true
 	}
 	for _, r := range stratum {
-		if r.head.negated || r.inventive {
-			return false
+		switch {
+		case r.head.negated:
+			return fallback{FallbackDeletion, r}
+		case r.inventive:
+			return fallback{FallbackInvention, r}
+		case r.head.kind == hClass:
+			return fallback{FallbackClassHead, r}
+		case adNegation(r):
+			return fallback{FallbackADNegation, r}
 		}
-		if r.head.kind == hClass {
-			// Class heads may overwrite o-values through ⊕; keep them on
-			// the general operator.
-			return false
-		}
-		for _, l := range r.body {
-			if l.negated && len(l.adVars) > 0 {
-				return false
-			}
-		}
-		// A rule that reads a data function defined in this stratum sees
-		// new facts without a positive literal over them; delta
-		// restriction would miss those derivations.
 		for _, fn := range ruleFuncReadsAll(r) {
 			if headPreds[fn] {
-				return false
+				return fallback{FallbackFuncRead, r}
 			}
 		}
 	}
-	return true
+	return fallback{}
+}
+
+// adNegation reports whether a body literal of r is a negation that
+// enumerates the active domain.
+func adNegation(r *crule) bool {
+	for _, l := range r.body {
+		if l.negated && len(l.adVars) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// planStrata records every stratum's fallback once, at compile time;
+// evaluation, Explain and the columnar planner read it from there.
+func (p *Program) planStrata() {
+	p.fallbacks = make([]fallback, len(p.strata))
+	for i, s := range p.strata {
+		p.fallbacks[i] = semiNaiveFallback(s)
+	}
+}
+
+// stratumFallback is why stratum i runs on the one-step inflationary
+// operator under the program's options ("" when it runs semi-naive).
+func (p *Program) stratumFallback(i int) string {
+	if !p.opts.SemiNaive {
+		return string(FallbackDisabled)
+	}
+	return p.fallbacks[i].String()
 }
 
 // semiNaive runs delta iteration over one stratum, fanning the per-round

@@ -9,7 +9,7 @@ import (
 
 // Parallel semi-naive evaluation. A semi-naive-eligible stratum is monotone:
 // no deletions, no oid invention, no o-value overwrites (see
-// stratumSemiNaiveEligible), so every derivation is a pure value-level fact
+// semiNaiveFallback), so every derivation is a pure value-level fact
 // and the union of the per-pass deltas does not depend on execution order.
 // Each round's (rule × delta-position) passes are therefore split into
 // tasks — additionally chunking the facts the first body literal ranges

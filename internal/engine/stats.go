@@ -129,15 +129,17 @@ func (p *Program) Explain() string {
 		b.WriteString(", NOT stratified (whole-program inflationary)\n")
 	}
 	for i, stratum := range p.strata {
-		mode := "one-step inflationary"
-		if p.opts.SemiNaive && stratumSemiNaiveEligible(stratum) {
-			mode = "semi-naive"
-			if p.opts.Vectorize && stratumVectorizable(stratum) {
+		mode := "semi-naive"
+		fb := p.stratumFallback(i)
+		switch {
+		case p.opts.NonInflationary:
+			mode = "non-inflationary"
+		case fb != "":
+			mode = "one-step inflationary, fallback: " + fb
+		default:
+			if _, ok := p.vecPlan(i); ok {
 				mode = "semi-naive (vectorized)"
 			}
-		}
-		if p.opts.NonInflationary {
-			mode = "non-inflationary"
 		}
 		fmt.Fprintf(&b, "stratum %d (%s):\n", i, mode)
 		for _, r := range stratum {

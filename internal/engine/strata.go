@@ -26,8 +26,13 @@ type depEdge struct {
 	strict   bool
 }
 
-// computeStrata partitions p.rules into evaluation strata.
-func (p *Program) computeStrata() {
+// computeStrata partitions p.rules into evaluation strata and records
+// each stratum's plan. Components are ordered by dependency depth; with
+// split set, every depth level is further divided by component (see
+// splitLevel). Compile always splits; the joint layout exists for the
+// differential tests that check the split against it.
+func (p *Program) computeStrata(split bool) {
+	defer p.planStrata()
 	nodes := map[string]bool{}
 	var edges []depEdge
 	headOf := func(r *crule) string { return r.head.pred }
@@ -61,10 +66,14 @@ func (p *Program) computeStrata() {
 			break
 		}
 	}
+	p.strata = nil
 	if !p.stratified || !p.opts.Stratify {
 		p.strata = [][]*crule{append([]*crule{}, p.rules...)}
 		return
 	}
+	// The non-inflationary operator runs the strata concatenated as one
+	// rule list; keep that list in depth order.
+	split = split && !p.opts.NonInflationary
 
 	// Topological order of components: stratum(c) = 1 + max over deps.
 	level := map[int]int{}
@@ -110,13 +119,61 @@ func (p *Program) computeStrata() {
 		byLevel[l] = append(byLevel[l], r)
 	}
 	for _, s := range byLevel {
-		if len(s) > 0 {
+		if len(s) == 0 {
+			continue
+		}
+		if !split {
 			p.strata = append(p.strata, s)
+			continue
+		}
+		for _, sub := range splitLevel(s, comp) {
+			if len(sub) > 0 {
+				p.strata = append(p.strata, sub)
+			}
 		}
 	}
 	if len(p.strata) == 0 {
 		p.strata = [][]*crule{{}}
 	}
+}
+
+// splitLevel divides one depth level into two sub-strata, each in
+// p.rules order: the rules of the components that are semi-naive
+// eligible as a group, then the rest. Any order of the components that
+// respects the strata yields the same perfect model, and the split is
+// also bit-identical to evaluating the level jointly: components at one
+// depth share no dependency edge, and eligible rules never invent oids,
+// write class facts (⊕) or delete, so the second sub-stratum's
+// invention numbering, overwrites and deletions see exactly the facts
+// they saw before. Evaluating the eligible part first lets the
+// incrementally maintained prefix (Maintainer.EligibleStrata) grow.
+//
+// A level with an active-domain negation stays joint: buildActiveDomain
+// reads the whole current fact set, so interleaving would change what
+// it enumerates. Eligibility is decided once per component, not per
+// rule, so a level of thousands of fact rules splits in linear time.
+func splitLevel(rules []*crule, comp map[string]int) [][]*crule {
+	byComp := map[int][]*crule{}
+	for _, r := range rules {
+		if adNegation(r) {
+			return [][]*crule{rules}
+		}
+		c := comp[r.head.pred]
+		byComp[c] = append(byComp[c], r)
+	}
+	eligible := make(map[int]bool, len(byComp))
+	for c, rs := range byComp {
+		eligible[c] = semiNaiveFallback(rs).reason == ""
+	}
+	var first, rest []*crule
+	for _, r := range rules {
+		if eligible[comp[r.head.pred]] {
+			first = append(first, r)
+		} else {
+			rest = append(rest, r)
+		}
+	}
+	return [][]*crule{first, rest}
 }
 
 // ruleFuncReads returns the data functions whose extension the rule reads
@@ -143,11 +200,14 @@ func ruleFuncReads(r *crule) []string {
 // ruleFuncReadsAll is ruleFuncReads including a defining rule's read of its
 // own function.
 func ruleFuncReadsAll(r *crule) []string {
-	seen := map[string]bool{}
+	var seen map[string]bool // allocated on the first application
 	var walk func(t ast.Term)
 	walk = func(t ast.Term) {
 		switch x := t.(type) {
 		case ast.FuncApp:
+			if seen == nil {
+				seen = map[string]bool{}
+			}
 			seen[x.Name] = true
 			for _, a := range x.Args {
 				walk(a)

@@ -110,12 +110,13 @@ func (p *Program) traceAbort(err error) {
 	p.emit(ev)
 }
 
-// traceStratumBegin opens one stratum's events.
-func (p *Program) traceStratumBegin(stratum int, rules []*crule, mode string) {
+// traceStratumBegin opens one stratum's events. fallback is why the
+// stratum left delta iteration ("" when it did not).
+func (p *Program) traceStratumBegin(stratum int, rules []*crule, mode, fallback string) {
 	if !p.tracing() {
 		return
 	}
-	p.emit(obs.Event{Kind: obs.KindStratumBegin, Stratum: stratum, Count: len(rules), Detail: mode})
+	p.emit(obs.Event{Kind: obs.KindStratumBegin, Stratum: stratum, Count: len(rules), Detail: mode, Fallback: fallback})
 }
 
 // traceStratumEnd closes one stratum's events.

@@ -106,21 +106,13 @@ type vecStratum struct {
 	kernels map[string]*kernelStat
 }
 
-// stratumVectorizable reports whether every rule of the stratum
-// compiles to a columnar plan (used by Explain; the dispatch path
-// compiles the plan once and keeps it).
-func stratumVectorizable(stratum []*crule) bool {
-	_, ok := compileVecStratum(stratum)
-	return ok
-}
-
-// vecPlan compiles the stratum's columnar plan when vectorization is
-// enabled and every rule is expressible.
-func (p *Program) vecPlan(stratum []*crule) (*vecStratum, bool) {
-	if !p.opts.Vectorize {
+// vecPlan compiles stratum i's columnar plan when vectorization is
+// enabled, the stratum runs semi-naive and every rule is expressible.
+func (p *Program) vecPlan(i int) (*vecStratum, bool) {
+	if !p.opts.Vectorize || p.stratumFallback(i) != "" {
 		return nil, false
 	}
-	return compileVecStratum(stratum)
+	return compileVecStratum(p.strata[i])
 }
 
 func compileVecStratum(stratum []*crule) (*vecStratum, bool) {

@@ -38,7 +38,8 @@ const (
 	// Total = final fact count, Duration = wall-clock.
 	KindEvalEnd Kind = "eval.end"
 	// KindStratumBegin opens one stratum: Stratum, Count = rules,
-	// Detail = evaluation mode.
+	// Detail = evaluation mode, Fallback = why the stratum is not on
+	// delta iteration ("" when it is).
 	KindStratumBegin Kind = "stratum.begin"
 	// KindStratumEnd closes one stratum: Stratum, Total = fact count.
 	KindStratumEnd Kind = "stratum.end"
@@ -191,6 +192,11 @@ type Event struct {
 	Duration time.Duration
 	// Detail is a short free-form annotation (mode names, abort causes).
 	Detail string
+	// Fallback is the typed reason a stratum left delta iteration
+	// (KindStratumBegin), e.g. "oid invention in rule #3". It is
+	// evaluation-determined, but the canonical sink strips it so
+	// canonical streams keep the shape they had before it existed.
+	Fallback string
 	// Req is the originating request's id when the event was emitted
 	// under a request span (Span.Instrument stamps it); empty for
 	// process-local evaluations. Request identity is not a property of

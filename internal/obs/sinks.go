@@ -10,8 +10,9 @@ import (
 
 // jsonEvent is the wire form of an Event. Field order is fixed by the
 // struct, omitempty keeps lines compact, and the canonical mode leaves
-// every wall-clock and configuration-dependent field zero so two traces
-// of the same program compare byte for byte.
+// every wall-clock and configuration-dependent field zero (and the
+// stratum fallback reason, which postdates the canonical format) so two
+// traces of the same program compare byte for byte.
 type jsonEvent struct {
 	Time     string `json:"time,omitempty"`
 	Kind     Kind   `json:"kind"`
@@ -29,6 +30,7 @@ type jsonEvent struct {
 	Shard    int    `json:"shard,omitempty"`
 	Duration int64  `json:"duration_ns,omitempty"`
 	Detail   string `json:"detail,omitempty"`
+	Fallback string `json:"fallback,omitempty"`
 	Req      string `json:"req,omitempty"`
 }
 
@@ -77,6 +79,7 @@ func (t *JSONL) Event(ev Event) {
 		je.Time = when.UTC().Format(time.RFC3339Nano)
 		je.Workers, je.Shards, je.Shard = ev.Workers, ev.Shards, ev.Shard
 		je.Duration = int64(ev.Duration)
+		je.Fallback = ev.Fallback
 		je.Req = ev.Req
 	}
 	line, err := json.Marshal(je)
@@ -127,6 +130,9 @@ func FormatEvent(ev Event) string {
 	case KindEvalEnd:
 		return fmt.Sprintf("eval: end rounds=%d facts=%d in %s", ev.Count, ev.Total, ev.Duration)
 	case KindStratumBegin:
+		if ev.Fallback != "" {
+			return fmt.Sprintf("stratum %d: begin rules=%d mode=%s fallback=%s", ev.Stratum, ev.Count, ev.Detail, ev.Fallback)
+		}
 		return fmt.Sprintf("stratum %d: begin rules=%d mode=%s", ev.Stratum, ev.Count, ev.Detail)
 	case KindStratumEnd:
 		return fmt.Sprintf("stratum %d: end facts=%d", ev.Stratum, ev.Total)

@@ -238,3 +238,29 @@ func TestMetricsDuplicateRegistrationPanics(t *testing.T) {
 	}()
 	m.Gauge("logres_widgets_total")
 }
+
+// The stratum fallback reason reaches profiles, the timestamped JSONL
+// and the text sink, while the canonical JSONL stays as it was before
+// the field existed.
+func TestStratumFallbackSurfaces(t *testing.T) {
+	ev := Event{Kind: KindStratumBegin, Stratum: 1, Count: 2, Detail: "one-step inflationary",
+		Fallback: "class head in rule #4"}
+	c := NewProfileCollector()
+	c.Event(Event{Kind: KindEvalBegin})
+	c.Event(ev)
+	if p := c.Profile(time.Millisecond); len(p.Strata) != 1 || p.Strata[0].Fallback != ev.Fallback {
+		t.Fatalf("profile strata = %+v", p.Strata)
+	}
+	var canon, full bytes.Buffer
+	NewCanonicalJSONL(&canon).Event(ev)
+	NewJSONL(&full).Event(ev)
+	if want := `{"kind":"stratum.begin","stratum":1,"count":2,"detail":"one-step inflationary"}` + "\n"; canon.String() != want {
+		t.Fatalf("canonical line = %s, want %s", canon.String(), want)
+	}
+	if !strings.Contains(full.String(), `"fallback":"class head in rule #4"`) {
+		t.Fatalf("JSONL line lacks the fallback: %s", full.String())
+	}
+	if got := FormatEvent(ev); got != "stratum 1: begin rules=2 mode=one-step inflationary fallback=class head in rule #4" {
+		t.Fatalf("text = %q", got)
+	}
+}

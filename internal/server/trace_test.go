@@ -14,6 +14,7 @@ import (
 
 	"logres/client"
 	"logres/internal/hooks"
+	"logres/internal/obs"
 )
 
 func TestParseTraceparent(t *testing.T) {
@@ -515,3 +516,15 @@ func TestSlowQueryLog(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// profileJSON mirrors every stratum field onto the wire, the fallback
+// reason included.
+func TestProfileJSONCarriesStratumFallback(t *testing.T) {
+	p := profileJSON(&obs.Profile{Strata: []obs.StratumProfile{
+		{Stratum: 0, Mode: "semi-naive"},
+		{Stratum: 1, Mode: "one-step inflationary", Fallback: "class head in rule #4"},
+	}})
+	if len(p.Strata) != 2 || p.Strata[0].Fallback != "" || p.Strata[1].Fallback != "class head in rule #4" {
+		t.Fatalf("wire strata = %+v", p.Strata)
+	}
+}

@@ -358,10 +358,31 @@ func (q Sequence) Append(v Value) Sequence {
 	return Sequence{elems: append(append([]Value{}, q.elems...), v)}
 }
 
-// Equal reports deep structural equality of two values.
+// Equal reports deep structural equality of two values: a.Key() ==
+// b.Key(). Same-kind strings, integers, booleans and oids compare
+// directly, without building keys; reals (whose keys fold -0.0 and NaN)
+// and composites take the key path.
 func Equal(a, b Value) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
+	}
+	switch x := a.(type) {
+	case Str:
+		if y, ok := b.(Str); ok {
+			return x == y
+		}
+	case Int:
+		if y, ok := b.(Int); ok {
+			return x == y
+		}
+	case Bool:
+		if y, ok := b.(Bool); ok {
+			return x == y
+		}
+	case Ref:
+		if y, ok := b.(Ref); ok {
+			return x == y
+		}
 	}
 	return a.Key() == b.Key()
 }

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -416,5 +417,51 @@ func TestMultisetSequenceElems(t *testing.T) {
 	q := NewSequence(Int(9), Int(8))
 	if len(q.Elems()) != 2 || q.Elems()[0] != Int(9) {
 		t.Fatalf("sequence elems = %v", q.Elems())
+	}
+}
+
+// Property: Equal agrees with key equality across every kind, including
+// the pairs the direct comparisons must not short-circuit — Int against
+// Real, Null against everything, -0.0 against 0.0, NaN against NaN.
+func TestEqualMatchesKeyEquality(t *testing.T) {
+	pool := []Value{
+		Int(0), Int(1), Int(-1), Int(1 << 40),
+		Real(0), Real(math.Copysign(0, -1)), Real(1), Real(-1), Real(math.NaN()), Real(math.Inf(1)),
+		Str(""), Str("1"), Str("a"), Str("a\x00"),
+		Bool(false), Bool(true),
+		Ref(0), Ref(1), Ref(2),
+		Null{},
+		NewTuple(Field{Label: "a", Value: Int(1)}), NewTuple(Field{Label: "a", Value: Real(1)}),
+		NewSet(Int(1), Int(2)), NewSet(Int(2), Int(1)), NewMultiset(Int(1), Int(1)),
+		NewSequence(Int(1), Int(2)), NewSequence(Str("1")),
+	}
+	for _, a := range pool {
+		for _, b := range pool {
+			if got, want := Equal(a, b), a.Key() == b.Key(); got != want {
+				t.Errorf("Equal(%v (%T), %v (%T)) = %v, key equality %v", a, a, b, b, got, want)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	draw := func() Value {
+		switch r.Intn(6) {
+		case 0:
+			return Int(r.Int63n(4))
+		case 1:
+			return Real(float64(r.Int63n(4)))
+		case 2:
+			return Str(string(rune('0' + r.Intn(4))))
+		case 3:
+			return Bool(r.Intn(2) == 0)
+		case 4:
+			return Ref(r.Int63n(4))
+		}
+		return Null{}
+	}
+	for i := 0; i < 5000; i++ {
+		a, b := draw(), draw()
+		if got, want := Equal(a, b), a.Key() == b.Key(); got != want {
+			t.Fatalf("Equal(%v (%T), %v (%T)) = %v, key equality %v", a, a, b, b, got, want)
+		}
 	}
 }

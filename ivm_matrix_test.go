@@ -27,9 +27,26 @@ associations
   UNREACH = (a: integer, b: integer);
 `
 
+// ivmIsaSchema adds an isa hierarchy for the isa-bearing program: the
+// generated class-head rule pin ⊑ mark sits above a closure that shares
+// its depth with an inventive rule.
+const ivmIsaSchema = `
+classes
+  MARK = (tag: integer);
+  PIN = (MARK, w: integer);
+  PIN isa MARK;
+associations
+  NODE = (n: integer);
+  EDGE = (src: integer, dst: integer);
+  TC = (src: integer, dst: integer);
+  SAME = (a: integer, b: integer);
+  UNREACH = (a: integer, b: integer);
+`
+
 var ivmMatrixPrograms = []struct {
-	name  string
-	rules string
+	name   string
+	rules  string
+	schema string // "" means ivmMatrixSchema
 }{
 	{"counting", `
 mode radv.
@@ -37,14 +54,14 @@ rules
   same(a: X, b: Y) <- edge(src: X, dst: Y), edge(src: Y, dst: X).
   same(a: X, b: X) <- node(n: X).
 end.
-`},
+`, ""},
 	{"closure", `
 mode radv.
 rules
   tc(src: X, dst: Y) <- edge(src: X, dst: Y).
   tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
 end.
-`},
+`, ""},
 	{"negation", `
 mode radv.
 rules
@@ -52,7 +69,7 @@ rules
   tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
   unreach(a: X, b: Y) <- node(n: X), node(n: Y), not tc(src: X, dst: Y).
 end.
-`},
+`, ""},
 	{"mixed-fallback", `
 mode radv.
 rules
@@ -60,7 +77,16 @@ rules
   tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
   mark(tag: X) <- node(n: X), not tc(src: X, dst: X).
 end.
-`},
+`, ""},
+	{"isa-closure", `
+mode radv.
+rules
+  tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
+  pin(self: P, tag: X, w: 1) <- node(n: X).
+  same(a: X, b: Y) <- mark(tag: X), tc(src: X, dst: Y).
+end.
+`, ivmIsaSchema},
 }
 
 // ivmMatrixCommits is the shared commit script: a base graph, then
@@ -96,9 +122,9 @@ func ivmMatrixCommits() []struct {
 // ivmOracleRun replays the script on a plain (from-scratch) database
 // and records the instance rendering after every commit plus the final
 // Save bytes.
-func ivmOracleRun(t *testing.T, rules string) (instances []string, save string) {
+func ivmOracleRun(t *testing.T, schema, rules string) (instances []string, save string) {
 	t.Helper()
-	db, err := Open(ivmMatrixSchema)
+	db, err := Open(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +152,18 @@ func TestIncrementalSaveBytesMatrix(t *testing.T) {
 	for _, prog := range ivmMatrixPrograms {
 		prog := prog
 		t.Run(prog.name, func(t *testing.T) {
-			wantInstances, wantSave := ivmOracleRun(t, prog.rules)
+			schema := prog.schema
+			if schema == "" {
+				schema = ivmMatrixSchema
+			}
+			wantInstances, wantSave := ivmOracleRun(t, schema, prog.rules)
 			if !strings.Contains(wantInstances[0], "(") {
 				t.Fatal("oracle derived nothing")
 			}
 			for _, workers := range []int{1, 4} {
 				for _, shards := range []int{1, 4} {
 					for _, vec := range []bool{false, true} {
-						db, err := Open(ivmMatrixSchema, WithIncremental(true),
+						db, err := Open(schema, WithIncremental(true),
 							WithWorkers(workers), WithShards(shards), WithVectorize(vec))
 						if err != nil {
 							t.Fatal(err)
