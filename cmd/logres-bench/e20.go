@@ -109,7 +109,7 @@ func e20SmokeRows() ([]smokeResult, error) {
 			name = "E20_ivm_chain192_incremental"
 		}
 		rows = append(rows, smokeResult{
-			Name: name, Tracer: "off", Workers: 1, Shards: 1,
+			Name: name, Tracer: "off", Workers: 1,
 			Iters: commits, NsPerOp: d.Nanoseconds() / commits,
 		})
 	}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -33,44 +34,79 @@ type experiment struct {
 	run func(quick bool) (*bench.Table, error)
 }
 
-func main() {
-	quick := flag.Bool("quick", false, "smaller parameter sweeps")
-	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,E5)")
-	jsonPath := flag.String("json", "", "run the tracer-overhead smoke suite and write ns/op results to this file")
-	flag.Parse()
+var experiments = []experiment{
+	{"E1", runE1}, {"E2", runE2}, {"E3", runE3}, {"E4", runE4},
+	{"E5", runE5}, {"E6", runE6}, {"E7", runE7}, {"E8", runE8},
+	{"E9", runE9}, {"E10", runE10}, {"E11", runE11}, {"E12", runE12},
+	{"E15", runE15}, {"E16", runE16}, {"E17", runE17}, {"E18", runE18},
+	{"E19", runE19}, {"E20", runE20},
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command body; it returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("logres-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "smaller parameter sweeps")
+	only := fs.String("only", "", "comma-separated experiment ids (e.g. E1,E5)")
+	jsonPath := fs.String("json", "", "run the tracer-overhead smoke suite and write ns/op results to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *jsonPath != "" {
 		if err := runSmoke(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "logres-bench:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "logres-bench:", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
+	selected, err := selectExperiments(*only)
+	if err != nil {
+		fmt.Fprintln(stderr, "logres-bench:", err)
+		return 2
+	}
+	for _, e := range selected {
+		t, err := e.run(*quick)
+		if err != nil {
+			fmt.Fprintf(stderr, "logres-bench: %s: %v\n", e.id, err)
+			return 1
+		}
+		t.Print(stdout)
+	}
+	return 0
+}
+
+// selectExperiments resolves a comma-separated -only list (empty = all)
+// and names every id that matches no experiment.
+func selectExperiments(only string) ([]experiment, error) {
 	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
+	for _, id := range strings.Split(only, ",") {
 		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
 			want[id] = true
 		}
 	}
-	experiments := []experiment{
-		{"E1", runE1}, {"E2", runE2}, {"E3", runE3}, {"E4", runE4},
-		{"E5", runE5}, {"E6", runE6}, {"E7", runE7}, {"E8", runE8},
-		{"E9", runE9}, {"E10", runE10}, {"E11", runE11}, {"E12", runE12},
-		{"E15", runE15}, {"E16", runE16}, {"E17", runE17}, {"E18", runE18},
-		{"E19", runE19}, {"E20", runE20},
+	if len(want) == 0 {
+		return experiments, nil
 	}
+	var selected []experiment
 	for _, e := range experiments {
-		if len(want) > 0 && !want[e.id] {
-			continue
+		if want[e.id] {
+			selected = append(selected, e)
+			delete(want, e.id)
 		}
-		t, err := e.run(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "logres-bench: %s: %v\n", e.id, err)
-			os.Exit(1)
-		}
-		t.Print(os.Stdout)
 	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, id)
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiment id(s): %s", strings.Join(unknown, ", "))
+	}
+	return selected, nil
 }
 
 // smokeResult is one row of the -json report.
@@ -78,7 +114,6 @@ type smokeResult struct {
 	Name    string `json:"name"`
 	Tracer  string `json:"tracer"`
 	Workers int    `json:"workers"`
-	Shards  int    `json:"shards"`
 	Iters   int    `json:"iters"`
 	NsPerOp int64  `json:"ns_per_op"`
 	// HTTP rows (E16) also report route latencies from the server's
@@ -90,9 +125,9 @@ type smokeResult struct {
 
 // smokeCase is one workload × tracer configuration of the smoke suite.
 type smokeCase struct {
-	name            string
-	workers, shards int
-	edges           int
+	name    string
+	workers int
+	edges   int
 }
 
 // runSmoke measures the E1 (serial) and E12 (parallel) chain-closure
@@ -103,8 +138,8 @@ type smokeCase struct {
 // overhead and concurrent-commit contracts.
 func runSmoke(path string) error {
 	cases := []smokeCase{
-		{name: "E1_tc_chain128_serial", workers: 1, shards: 1, edges: 128},
-		{name: "E12_tc_chain256_par4", workers: 4, shards: 4, edges: 256},
+		{name: "E1_tc_chain128_serial", workers: 1, edges: 128},
+		{name: "E12_tc_chain256_par4", workers: 4, edges: 256},
 	}
 	var results []smokeResult
 	for _, c := range cases {
@@ -114,7 +149,6 @@ func runSmoke(path string) error {
 				return err
 			}
 			s.Program.SetWorkers(c.workers)
-			s.Program.SetShards(c.shards)
 			label := "off"
 			if traced {
 				s.Program.SetTracer(obs.NewJSONL(io.Discard))
@@ -135,7 +169,6 @@ func runSmoke(path string) error {
 				Name:    c.name,
 				Tracer:  label,
 				Workers: c.workers,
-				Shards:  c.shards,
 				Iters:   iters,
 				NsPerOp: time.Since(start).Nanoseconds() / int64(iters),
 			})
@@ -168,7 +201,6 @@ func runSmoke(path string) error {
 			Name:    name,
 			Tracer:  "off",
 			Workers: 1,
-			Shards:  1,
 			Iters:   iters,
 			NsPerOp: time.Since(start).Nanoseconds() / int64(iters),
 		})
@@ -181,7 +213,7 @@ func runSmoke(path string) error {
 		return err
 	}
 	results = append(results, smokeResult{
-		Name: "E15_disjoint_serial", Tracer: "off", Workers: 1, Shards: 1,
+		Name: "E15_disjoint_serial", Tracer: "off", Workers: 1,
 		Iters: e15Total, NsPerOp: dSerial.Nanoseconds() / e15Total,
 	})
 	dConc, _, err := e15Concurrent(e15Total, 4, 0)
@@ -189,7 +221,7 @@ func runSmoke(path string) error {
 		return err
 	}
 	results = append(results, smokeResult{
-		Name: "E15_disjoint_conc4", Tracer: "off", Workers: 4, Shards: 1,
+		Name: "E15_disjoint_conc4", Tracer: "off", Workers: 4,
 		Iters: e15Total, NsPerOp: dConc.Nanoseconds() / e15Total,
 	})
 
@@ -203,7 +235,7 @@ func runSmoke(path string) error {
 			return err
 		}
 		results = append(results, smokeResult{
-			Name: "E18_wal_fsync_" + p.String(), Tracer: "off", Workers: 1, Shards: 1,
+			Name: "E18_wal_fsync_" + p.String(), Tracer: "off", Workers: 1,
 			Iters: e18Total, NsPerOp: d.Nanoseconds() / e18Total,
 		})
 	}
@@ -228,7 +260,6 @@ func runSmoke(path string) error {
 			Name:    fmt.Sprintf("E16_http_apply%d_read%d", appliers, readers),
 			Tracer:  "off",
 			Workers: appliers,
-			Shards:  1,
 			Iters:   res.applies,
 			NsPerOp: res.elapsed.Nanoseconds() / int64(res.applies),
 			P50Ns:   res.execP50.Nanoseconds(),
@@ -257,7 +288,6 @@ func runSmoke(path string) error {
 			Name:    "E19_profile_" + cfg.name,
 			Tracer:  "off",
 			Workers: 1,
-			Shards:  1,
 			Iters:   res.applies,
 			NsPerOp: res.elapsed.Nanoseconds() / int64(res.applies),
 			P50Ns:   res.execP50.Nanoseconds(),
@@ -318,7 +348,6 @@ func runE1(quick bool) (*bench.Table, error) {
 			return nil, err
 		}
 		lp.Program.SetWorkers(4)
-		lp.Program.SetShards(4)
 		dPar, err := bench.Timed(func() error { _, err := lp.Run(); return err })
 		if err != nil {
 			return nil, err
@@ -607,19 +636,17 @@ func runE10(quick bool) (*bench.Table, error) {
 func runE12(quick bool) (*bench.Table, error) {
 	t := &bench.Table{
 		Title:   "E12 — parallel semi-naive scaling (chain closure)",
-		Columns: []string{"n", "workers", "shards", "derived", "time", "speedup"},
+		Columns: []string{"n", "workers", "derived", "time", "speedup"},
 	}
 	for _, n := range sizes(quick, []int{1024, 4096}, []int{128, 256}) {
 		edges := bench.Chain(n)
 		var serial time.Duration
-		for _, cfg := range [][2]int{{1, 1}, {2, 2}, {4, 4}, {8, 8}} {
-			workers, shards := cfg[0], cfg[1]
+		for _, workers := range []int{1, 2, 4, 8} {
 			s, err := bench.NewLogresTC(edges, true)
 			if err != nil {
 				return nil, err
 			}
 			s.Program.SetWorkers(workers)
-			s.Program.SetShards(shards)
 			var derived int
 			d, err := bench.Timed(func() error {
 				var err error
@@ -632,7 +659,7 @@ func runE12(quick bool) (*bench.Table, error) {
 			if workers == 1 {
 				serial = d
 			}
-			t.AddRow(n, workers, shards, derived, d, float64(serial)/float64(d))
+			t.AddRow(n, workers, derived, d, float64(serial)/float64(d))
 		}
 	}
 	return t, nil

@@ -50,3 +50,25 @@ func TestSizesHelper(t *testing.T) {
 		t.Fatal("quick sizes wrong")
 	}
 }
+
+// An -only list naming an unknown experiment fails before running
+// anything and names every unknown id.
+func TestOnlyUnknownID(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-quick", "-only", "E1,E99,e98"}, &stdout, &stderr)
+	if code == 0 {
+		t.Fatal("run -only E1,E99,e98 exited 0")
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("ran experiments despite unknown ids:\n%s", stdout.String())
+	}
+	if want := "logres-bench: unknown experiment id(s): E98, E99\n"; stderr.String() != want {
+		t.Fatalf("stderr = %q, want %q", stderr.String(), want)
+	}
+	if _, err := selectExperiments("e1, E12"); err != nil {
+		t.Fatalf("known ids rejected: %v", err)
+	}
+	if all, err := selectExperiments(""); err != nil || len(all) != len(experiments) {
+		t.Fatalf("empty -only selected %d experiments, %v", len(all), err)
+	}
+}

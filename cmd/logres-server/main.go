@@ -16,7 +16,6 @@
 //	-load file         load the preloaded database from a snapshot
 //	                   instead (in-memory servers only)
 //	-workers n         evaluation workers for the preloaded database
-//	-shards n          delta shards for the preloaded database
 //	-max-retries n     conflict retry bound for the preloaded database
 //	-grace d           shutdown grace period (default 30s): SIGINT/SIGTERM
 //	                   stops accepting work and drains in-flight
@@ -74,7 +73,6 @@ type config struct {
 	schemaPath    string
 	loadPath      string
 	workers       int
-	shards        int
 	maxRetries    int
 	grace         time.Duration
 	chunk         int
@@ -95,7 +93,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&cfg.schemaPath, "schema", "", "schema file for the preloaded database")
 	fs.StringVar(&cfg.loadPath, "load", "", "snapshot file for the preloaded database")
 	fs.IntVar(&cfg.workers, "workers", 0, "evaluation workers for the preloaded database")
-	fs.IntVar(&cfg.shards, "shards", 0, "delta shards for the preloaded database")
 	fs.IntVar(&cfg.maxRetries, "max-retries", 0, "conflict retry bound for the preloaded database")
 	fs.DurationVar(&cfg.grace, "grace", 30*time.Second, "shutdown grace period")
 	fs.IntVar(&cfg.chunk, "chunk", 0, "rows per streamed query chunk")
@@ -138,9 +135,6 @@ func preload(cfg *config, srv *server.Server, stderr *os.File) error {
 	if cfg.workers != 0 {
 		opts = append(opts, logres.WithWorkers(cfg.workers))
 	}
-	if cfg.shards != 0 {
-		opts = append(opts, logres.WithShards(cfg.shards))
-	}
 	if cfg.maxRetries != 0 {
 		opts = append(opts, logres.WithMaxRetries(cfg.maxRetries))
 	}
@@ -169,6 +163,21 @@ func preload(cfg *config, srv *server.Server, stderr *os.File) error {
 		return err
 	}
 	return nil
+}
+
+// Socket timeouts of the listener. A client gets readHeaderTimeout to
+// send its request headers and a kept-alive connection is closed after
+// idleTimeout without a request. There is deliberately no write
+// timeout: NDJSON query streams and subscriptions stay open as long as
+// they deliver.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the handler in the command's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // run serves until ctx is canceled (the first signal), then drains:
@@ -206,7 +215,7 @@ func run(ctx context.Context, cfg *config, ln net.Listener, stderr *os.File) err
 	if err := preload(cfg, srv, stderr); err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	fmt.Fprintf(stderr, "logres-server: listening on %s\n", ln.Addr())

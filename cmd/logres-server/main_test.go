@@ -309,6 +309,25 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts: the listener bounds header reads and idle
+// keep-alives but sets no write timeout, which would cut long NDJSON
+// streams and subscriptions.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.IdleTimeout != idleTimeout || hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", hs.IdleTimeout, idleTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v; want none", hs.WriteTimeout, hs.ReadTimeout)
+	}
+	if hs.Handler == nil {
+		t.Error("handler not installed")
+	}
+}
+
 // TestParseDurableFlags covers the durability flag surface.
 func TestParseDurableFlags(t *testing.T) {
 	cfg, err := parseFlags([]string{"-data-dir", "/tmp/x", "-fsync", "interval",

@@ -17,8 +17,8 @@ import (
 // ---------------------------------------------------------------------------
 // Property test: concurrent application of disjoint modules is equivalent to
 // serial application in either order (bit-identical Save output), across
-// workers × shards configurations; conflicting modules serialize to one of
-// the two serial orders.
+// worker counts; conflicting modules serialize to one of the two serial
+// orders.
 // ---------------------------------------------------------------------------
 
 const concurrentSchema = `
@@ -106,38 +106,36 @@ func concurrentState(t *testing.T, opts []Option, a, b string) ([]byte, *Metrics
 func TestConcurrentDisjointEquivalentToSerial(t *testing.T) {
 	preds := []string{"p0", "p1", "p2", "p3", "p4", "p5"}
 	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			opts := []Option{WithWorkers(workers), WithShards(shards)}
-			rng := rand.New(rand.NewSource(int64(97*workers + shards)))
-			for trial := 0; trial < 5; trial++ {
-				// Split the predicates into two disjoint pools.
-				perm := rng.Perm(len(preds))
-				var poolA, poolB []string
-				for i, p := range perm {
-					if i < 3 {
-						poolA = append(poolA, preds[p])
-					} else {
-						poolB = append(poolB, preds[p])
-					}
+		opts := []Option{WithWorkers(workers)}
+		rng := rand.New(rand.NewSource(int64(97*workers + 1)))
+		for trial := 0; trial < 5; trial++ {
+			// Split the predicates into two disjoint pools.
+			perm := rng.Perm(len(preds))
+			var poolA, poolB []string
+			for i, p := range perm {
+				if i < 3 {
+					poolA = append(poolA, preds[p])
+				} else {
+					poolB = append(poolB, preds[p])
 				}
-				a, b := randModule(rng, poolA), randModule(rng, poolB)
+			}
+			a, b := randModule(rng, poolA), randModule(rng, poolB)
 
-				ab := serialState(t, opts, a, b)
-				ba := serialState(t, opts, b, a)
-				if !bytes.Equal(ab, ba) {
-					t.Fatalf("w=%d s=%d trial %d: disjoint serial orders differ\nA:\n%s\nB:\n%s",
-						workers, shards, trial, a, b)
-				}
-				got, m := concurrentState(t, opts, a, b)
-				if !bytes.Equal(got, ab) {
-					t.Fatalf("w=%d s=%d trial %d: concurrent state differs from serial\nA:\n%s\nB:\n%s",
-						workers, shards, trial, a, b)
-				}
-				// Disjoint footprints must commit without a single conflict.
-				if n := m.Counter("logres_module_conflicts_total").Value(); n != 0 {
-					t.Fatalf("w=%d s=%d trial %d: %d conflicts on disjoint modules\nA:\n%s\nB:\n%s",
-						workers, shards, trial, n, a, b)
-				}
+			ab := serialState(t, opts, a, b)
+			ba := serialState(t, opts, b, a)
+			if !bytes.Equal(ab, ba) {
+				t.Fatalf("w=%d trial %d: disjoint serial orders differ\nA:\n%s\nB:\n%s",
+					workers, trial, a, b)
+			}
+			got, m := concurrentState(t, opts, a, b)
+			if !bytes.Equal(got, ab) {
+				t.Fatalf("w=%d trial %d: concurrent state differs from serial\nA:\n%s\nB:\n%s",
+					workers, trial, a, b)
+			}
+			// Disjoint footprints must commit without a single conflict.
+			if n := m.Counter("logres_module_conflicts_total").Value(); n != 0 {
+				t.Fatalf("w=%d trial %d: %d conflicts on disjoint modules\nA:\n%s\nB:\n%s",
+					workers, trial, n, a, b)
 			}
 		}
 	}
@@ -146,25 +144,23 @@ func TestConcurrentDisjointEquivalentToSerial(t *testing.T) {
 func TestConcurrentConflictingSerializes(t *testing.T) {
 	preds := []string{"p0", "p1", "p2", "p3", "p4", "p5"}
 	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			opts := []Option{WithWorkers(workers), WithShards(shards)}
-			rng := rand.New(rand.NewSource(int64(31*workers + shards)))
-			for trial := 0; trial < 5; trial++ {
-				// Overlapping pools: both modules may read and write the
-				// two shared predicates.
-				perm := rng.Perm(len(preds))
-				shared := []string{preds[perm[0]], preds[perm[1]]}
-				poolA := append([]string{preds[perm[2]], preds[perm[3]]}, shared...)
-				poolB := append([]string{preds[perm[4]], preds[perm[5]]}, shared...)
-				a, b := randModule(rng, poolA), randModule(rng, poolB)
+		opts := []Option{WithWorkers(workers)}
+		rng := rand.New(rand.NewSource(int64(31*workers + 1)))
+		for trial := 0; trial < 5; trial++ {
+			// Overlapping pools: both modules may read and write the
+			// two shared predicates.
+			perm := rng.Perm(len(preds))
+			shared := []string{preds[perm[0]], preds[perm[1]]}
+			poolA := append([]string{preds[perm[2]], preds[perm[3]]}, shared...)
+			poolB := append([]string{preds[perm[4]], preds[perm[5]]}, shared...)
+			a, b := randModule(rng, poolA), randModule(rng, poolB)
 
-				ab := serialState(t, opts, a, b)
-				ba := serialState(t, opts, b, a)
-				got, _ := concurrentState(t, opts, a, b)
-				if !bytes.Equal(got, ab) && !bytes.Equal(got, ba) {
-					t.Fatalf("w=%d s=%d trial %d: concurrent state matches neither serial order\nA:\n%s\nB:\n%s",
-						workers, shards, trial, a, b)
-				}
+			ab := serialState(t, opts, a, b)
+			ba := serialState(t, opts, b, a)
+			got, _ := concurrentState(t, opts, a, b)
+			if !bytes.Equal(got, ab) && !bytes.Equal(got, ba) {
+				t.Fatalf("w=%d trial %d: concurrent state matches neither serial order\nA:\n%s\nB:\n%s",
+					workers, trial, a, b)
 			}
 		}
 	}

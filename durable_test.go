@@ -244,11 +244,11 @@ func durableOps() []durableOp {
 // runCrashWorkload applies ops concurrently against a durable database
 // and returns which ops were acked (committed without error). The
 // database is abandoned afterwards, as a crashed process would.
-func runCrashWorkload(t *testing.T, dir string, workers, shards int) (acked map[durableOp]bool) {
+func runCrashWorkload(t *testing.T, dir string, workers int) (acked map[durableOp]bool) {
 	t.Helper()
 	db, _, err := OpenDurable(durableSchema,
 		Durability{Dir: dir, Fsync: FsyncAlways, CompactEvery: 5},
-		WithWorkers(workers), WithShards(shards))
+		WithWorkers(workers))
 	if err != nil {
 		// The injected fault can land in Create/Open itself.
 		return map[durableOp]bool{}
@@ -277,10 +277,9 @@ func runCrashWorkload(t *testing.T, dir string, workers, shards int) (acked map[
 }
 
 func TestDurableCrashMatrix(t *testing.T) {
-	configs := []struct{ workers, shards int }{{1, 1}, {1, 4}, {4, 1}, {4, 4}}
-	for _, cfg := range configs {
-		cfg := cfg
-		t.Run(fmt.Sprintf("w%dxs%d", cfg.workers, cfg.shards), func(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		workers := workers
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			// Pass 1: count fault-point crossings in a clean run. Under
 			// concurrency the exact count varies slightly run to run
 			// (compaction timing); the clean count is a good census of
@@ -293,7 +292,7 @@ func TestDurableCrashMatrix(t *testing.T) {
 				mu.Unlock()
 				return nil
 			}
-			runCrashWorkload(t, t.TempDir(), cfg.workers, cfg.shards)
+			runCrashWorkload(t, t.TempDir(), workers)
 			hooks.StorageFault = nil
 			if crossings == 0 {
 				t.Fatal("workload crossed no fault points")
@@ -302,7 +301,7 @@ func TestDurableCrashMatrix(t *testing.T) {
 			// Pass 2: kill at every crossing. Stride 1 for the serial
 			// config, wider for the rest to keep the matrix fast.
 			stride := 1
-			if cfg.workers*cfg.shards > 1 {
+			if workers > 1 {
 				stride = 3
 			}
 			for k := 0; k < crossings; k += stride {
@@ -320,7 +319,7 @@ func TestDurableCrashMatrix(t *testing.T) {
 					}
 					return nil
 				}
-				acked := runCrashWorkload(t, dir, cfg.workers, cfg.shards)
+				acked := runCrashWorkload(t, dir, workers)
 				hooks.StorageFault = nil
 
 				if ok, err := storage.Exists(dir); err != nil || !ok {

@@ -56,7 +56,8 @@ func openGuarded(t *testing.T, options ...Option) *Database {
 
 // Every budget axis must abort the divergent module with a *BudgetError
 // and leave the saved snapshot bit-identical, on the serial and parallel
-// evaluators alike.
+// evaluators alike. The shards axis passes the deprecated WithShards,
+// which must change nothing.
 func TestBudgetAbortLeavesDatabaseUntouched(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -44,11 +44,10 @@ type Options struct {
 	// zero value) means runtime.GOMAXPROCS(0). Results are bit-identical
 	// for every worker count.
 	Workers int
-	// Shards is the number of FactSet shards parallel evaluation
-	// partitions the current extension and deltas into; worker deltas are
-	// merged with one goroutine per shard. Values ≤ 0 (including the zero
-	// value) mean runtime.GOMAXPROCS(0); 1 keeps the serial merge. Results
-	// are bit-identical for every shard count.
+	// Shards is ignored: the FactSet is a single unpartitioned set.
+	// DefaultOptions reports 1.
+	//
+	// Deprecated: kept only so existing callers still compile.
 	Shards int
 	// Tracer receives typed evaluation events (stratum/round boundaries,
 	// rule firings, oid invention, merges, budget consumption, aborts).
@@ -68,7 +67,7 @@ type Options struct {
 
 // DefaultOptions returns the standard evaluation options.
 func DefaultOptions() Options {
-	return Options{MaxSteps: 100000, SemiNaive: true, Stratify: true, Workers: runtime.GOMAXPROCS(0), Shards: runtime.GOMAXPROCS(0)}
+	return Options{MaxSteps: 100000, SemiNaive: true, Stratify: true, Workers: runtime.GOMAXPROCS(0), Shards: 1}
 }
 
 // Program is a compiled rule set, ready to evaluate.
@@ -114,18 +113,6 @@ func (p *Program) SetWorkers(n int) {
 // Workers returns the effective evaluation worker count.
 func (p *Program) Workers() int { return p.opts.Workers }
 
-// SetShards overrides the FactSet shard count used by parallel evaluation
-// (values ≤ 0 restore the runtime.GOMAXPROCS(0) default).
-func (p *Program) SetShards(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	p.opts.Shards = n
-}
-
-// Shards returns the effective FactSet shard count.
-func (p *Program) Shards() int { return p.opts.Shards }
-
 // SetTracer attaches (or, with nil, detaches) an evaluation tracer
 // after compilation. Benchmarks and the REPL's `.trace` toggle use it
 // to compare traced and untraced runs of one compiled program.
@@ -153,9 +140,6 @@ func Compile(schema *types.Schema, rules []*ast.Rule, opts Options) (*Program, e
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Shards <= 0 {
-		opts.Shards = runtime.GOMAXPROCS(0)
 	}
 	p := &Program{schema: schema, opts: opts}
 	all := append([]*ast.Rule{}, rules...)

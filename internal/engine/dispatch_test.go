@@ -16,7 +16,7 @@ func runWithDispatchMetrics(t *testing.T, edb *FactSet, workers int) (*FactSet, 
 	m := obs.NewMetrics()
 	p, err := tryBuild(edgeSchema, closureRules,
 		Options{MaxSteps: 10000, SemiNaive: true, Stratify: true,
-			Workers: workers, Shards: workers, Tracer: m.Tracer()})
+			Workers: workers, Tracer: m.Tracer()})
 	if err != nil {
 		t.Fatal(err)
 	}

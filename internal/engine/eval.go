@@ -804,7 +804,7 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 			p.stats.SemiNaiveStrata++
 			if vs, ok := p.vecPlan(i); ok {
 				// Columnar path: same round structure, same results;
-				// worker/shard counts do not apply (the kernels are
+				// the worker count does not apply (the kernels are
 				// batch-at-a-time), so determinism is trivial here.
 				p.stats.VectorizedStrata++
 				p.traceStratumBegin(i, stratum, "semi-naive (vectorized)", "")

@@ -33,13 +33,14 @@ c(self: S, v: 0) <- seed(k: 1).
 c(self: S, v: Y) <- c(v: X), Y = X + 1.
 `
 
-func guardOpts(workers, shards int, b Budget) Options {
+func guardOpts(workers int, b Budget) Options {
 	return Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true,
-		Workers: workers, Shards: shards, Budget: b}
+		Workers: workers, Budget: b}
 }
 
 // Every budget axis must stop the counting program, for serial and
-// parallel workers and shard counts, with a *BudgetError naming the axis.
+// parallel workers, with a *BudgetError naming the axis. The shards axis
+// sets the deprecated Options.Shards, which must change nothing.
 func TestDivergenceAbortsUnderEveryAxis(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -54,7 +55,9 @@ func TestDivergenceAbortsUnderEveryAxis(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			for _, c := range cases {
 				t.Run(fmt.Sprintf("%s/workers=%d/shards=%d", c.name, workers, shards), func(t *testing.T) {
-					p, err := tryBuild(countingSchema, countingRules, guardOpts(workers, shards, c.budget))
+					opts := guardOpts(workers, c.budget)
+					opts.Shards = shards
+					p, err := tryBuild(countingSchema, countingRules, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -84,7 +87,7 @@ func TestDivergenceAbortsUnderEveryAxis(t *testing.T) {
 func TestDivergenceAbortsOnOIDBudget(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			opts := guardOpts(workers, 1, Budget{MaxOIDs: 25})
+			opts := guardOpts(workers, Budget{MaxOIDs: 25})
 			p, err := tryBuild(inventiveSchema, inventiveRules, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -137,7 +140,7 @@ n(v: Y) <- n(v: X), Y = X + 1.
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			opts := guardOpts(1, 1, c.budget)
+			opts := guardOpts(1, c.budget)
 			opts.NonInflationary = true
 			p, err := tryBuild(schemaSrc, rulesSrc, opts)
 			if err != nil {
@@ -162,7 +165,7 @@ n(v: Y) <- n(v: X), Y = X + 1.
 func TestCancellationAborts(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("canceled/workers=%d", workers), func(t *testing.T) {
-			p, err := tryBuild(countingSchema, countingRules, guardOpts(workers, 4, Budget{}))
+			p, err := tryBuild(countingSchema, countingRules, guardOpts(workers, Budget{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +185,7 @@ func TestCancellationAborts(t *testing.T) {
 			}
 		})
 		t.Run(fmt.Sprintf("deadline/workers=%d", workers), func(t *testing.T) {
-			p, err := tryBuild(countingSchema, countingRules, guardOpts(workers, 4, Budget{}))
+			p, err := tryBuild(countingSchema, countingRules, guardOpts(workers, Budget{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +207,7 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 	testWorkerPanic = func(r *crule) { panic("injected worker panic") }
 	defer func() { testWorkerPanic = nil }()
 
-	opts := Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 4, Shards: 4}
+	opts := Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 4}
 	p, err := tryBuild(edgeSchema, closureRules, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -229,11 +232,11 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 // An inactive guard must not change results: the same program run with
 // and without an (unexhausted) budget computes identical fact sets.
 func TestGuardrailsPreserveResults(t *testing.T) {
-	plain, err := tryBuild(edgeSchema, closureRules, Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 4, Shards: 4})
+	plain, err := tryBuild(edgeSchema, closureRules, Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted, err := tryBuild(edgeSchema, closureRules, guardOpts(4, 4, Budget{MaxFacts: 1 << 20, MaxOIDs: 1 << 20, Timeout: time.Minute}))
+	budgeted, err := tryBuild(edgeSchema, closureRules, guardOpts(4, Budget{MaxFacts: 1 << 20, MaxOIDs: 1 << 20, Timeout: time.Minute}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ type Maintainer struct {
 	// Update against every maintained read and readers materialize their
 	// results under the read lock — and catchUp is the net view change
 	// that brings it up to the current view. Reusing it makes an update
-	// O(delta): the spare's merged views and component indexes are
+	// O(delta): the spare's per-predicate views and component indexes are
 	// maintained in place instead of being cloned and rebuilt per commit.
 	spare   *FactSet
 	catchUp *ViewDelta
@@ -551,7 +551,7 @@ func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter i
 // takeScratch returns the working copy an update mutates: the spare
 // view double-buffer caught up to the current view when one is
 // available — an O(delta) replay that preserves the spare's
-// incrementally maintained merged views and component indexes — or a
+// incrementally maintained views and component indexes — or a
 // fresh clone otherwise. The spare is consumed either way, so an
 // update that fails mid-propagation never leaves a half-mutated spare
 // behind (the next update falls back to cloning).

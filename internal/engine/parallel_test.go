@@ -101,9 +101,118 @@ same(a: X, b: Y) <- edge(src: X, dst: Y), not tc(src: Y, dst: X).
 	}
 }
 
-// A program with oid invention: inventive strata stay on the serial
-// one-step operator even when Workers > 1, so parallel runs remain
-// bit-identical (same oids, same counter).
+// factBytes renders an evaluation result canonically — the oid counter,
+// then every predicate's facts in key order — the engine-level analogue
+// of Save bytes.
+func factBytes(fs *FactSet, counter int64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "counter %d\n", counter)
+	for _, p := range fs.Preds() {
+		for _, f := range fs.Facts(p) {
+			b.WriteString(f.Key())
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+// assertMatrixMatchesSerial evaluates edb under p at workers {1,2,4} ×
+// vectorize {off,on} and requires every run's bytes to equal serial row
+// evaluation. The dispatch cutoff is lowered to zero so every round of a
+// multi-worker run really fans out to the pool. It returns the serial
+// result.
+func assertMatrixMatchesSerial(t *testing.T, name string, p *Program, edb *FactSet) (*FactSet, int64) {
+	t.Helper()
+	old := snParallelCutoff
+	snParallelCutoff = 0
+	defer func() { snParallelCutoff = old }()
+	defer p.SetWorkers(1)
+	defer p.SetVectorize(false)
+
+	p.SetWorkers(1)
+	p.SetVectorize(false)
+	c0 := int64(0)
+	want, err := p.Run(edb.Clone(), &c0)
+	if err != nil {
+		t.Fatalf("%s serial: %v", name, err)
+	}
+	wantBytes := factBytes(want, c0)
+	for _, workers := range []int{1, 2, 4} {
+		for _, vec := range []bool{false, true} {
+			p.SetWorkers(workers)
+			p.SetVectorize(vec)
+			c := int64(0)
+			got, err := p.Run(edb.Clone(), &c)
+			if err != nil {
+				t.Fatalf("%s workers=%d vectorize=%v: %v", name, workers, vec, err)
+			}
+			if factBytes(got, c) != wantBytes {
+				t.Fatalf("%s workers=%d vectorize=%v: bytes diverge from serial (%d vs %d facts, counter %d vs %d)",
+					name, workers, vec, got.TotalSize(), want.TotalSize(), c, c0)
+			}
+		}
+	}
+	return want, c0
+}
+
+// The workers × vectorize matrix must be byte-identical to serial
+// evaluation on eligible (semi-naive) and negation-bearing programs.
+func TestParallelDeterminismMatrix(t *testing.T) {
+	programs := map[string]string{
+		"closure": closureRules,
+		"negation": closureRules + `
+same(a: X, b: Y) <- edge(src: X, dst: Y), not tc(src: Y, dst: X).
+`,
+	}
+	for name, rules := range programs {
+		p, err := tryBuild(edgeSchema, rules, Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatrixMatchesSerial(t, name+"/random", p, randomEdgeFacts(12, 60, 21))
+		assertMatrixMatchesSerial(t, name+"/chain", p, chainEdgeFacts(30))
+	}
+}
+
+// Non-eligible strata — deletion heads — run their matching passes on
+// the worker pool (round-0 parallel matching) with effects sequenced at
+// merge; results must stay byte-identical to serial.
+func TestParallelDeterminismDeletion(t *testing.T) {
+	schema := `
+classes C = (v: integer);
+associations
+  SEED = (v: integer);
+  KILL = (v: integer);
+`
+	rules := `
+c(v: V) <- seed(v: V), not kill(v: V).
+not c(v: V) <- kill(v: V).
+`
+	p, err := tryBuild(schema, rules, Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(pred string, v int) Fact {
+		return Fact{Pred: pred, Tuple: value.NewTuple(
+			value.Field{Label: "v", Value: value.Int(int64(v))},
+		)}
+	}
+	edb := NewFactSet()
+	for i := 0; i < 40; i++ {
+		edb.Add(mk("seed", i))
+		if i%3 == 0 {
+			edb.Add(mk("kill", i))
+		}
+	}
+	want, c0 := assertMatrixMatchesSerial(t, "deletion", p, edb)
+	if want.Size("c") == 0 || c0 == 0 {
+		t.Fatal("deletion program derived nothing")
+	}
+}
+
+// A program with oid invention: inventive strata sequence their effects
+// in task order, so parallel runs stay byte-identical (same oids, same
+// counter).
 func TestParallelDeterminismInvention(t *testing.T) {
 	schema := `
 classes
@@ -115,31 +224,12 @@ associations
 	rules := closureRules + `
 node(self: N, tag: X) <- tc(src: X, dst: Y).
 `
-	opts := Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1}
-	p, err := tryBuild(schema, rules, opts)
+	p, err := tryBuild(schema, rules, Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	edb := chainEdgeFacts(12)
-	c1 := int64(0)
-	p.SetWorkers(1)
-	fS, err := p.Run(edb.Clone(), &c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := int64(0)
-	p.SetWorkers(8)
-	fP, err := p.Run(edb.Clone(), &c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fS.Equal(fP) {
-		t.Fatal("invention program diverged between serial and parallel")
-	}
-	if c1 != c2 {
-		t.Fatalf("oid counters diverged: %d vs %d", c1, c2)
-	}
-	if fS.Size("node") == 0 {
+	want, _ := assertMatrixMatchesSerial(t, "invention", p, chainEdgeFacts(12))
+	if want.Size("node") == 0 {
 		t.Fatal("expected invented node facts")
 	}
 }
@@ -271,6 +361,27 @@ func TestFactSetIncrementalCache(t *testing.T) {
 	if min.rebuilds != 0 {
 		t.Fatalf("Minus result rebuilt the cache %d times, want 0", min.rebuilds)
 	}
+
+	// Merge — how a parallel round folds its task deltas in — maintains
+	// the views in place as well.
+	deltas := []*FactSet{NewFactSet(), NewFactSet()}
+	for i := 700; i < 720; i++ {
+		deltas[i%2].Add(edgeFact(i, i+1))
+	}
+	for _, d := range deltas {
+		if !fs.Merge(d) {
+			t.Fatal("Merge of new facts reported no change")
+		}
+	}
+	if got := fs.FactsByComponent("edge", "src", value.Int(719)); len(got) != 1 {
+		t.Fatalf("bucket size %d after Merge, want 1", len(got))
+	}
+	if len(fs.Facts("edge")) != 178 {
+		t.Fatalf("list size %d after Merge, want 178", len(fs.Facts("edge")))
+	}
+	if fs.rebuilds != base {
+		t.Fatalf("Merge rebuilt the cache %d times, want 0", fs.rebuilds-base)
+	}
 }
 
 // Facts() must stay in strict key order on an unfrozen set even after
@@ -292,7 +403,8 @@ func TestFactSetKeyOrderAfterAdds(t *testing.T) {
 	}
 }
 
-// Class-fact replacement (⊕ right bias) must keep the cache consistent.
+// Class-fact replacement (⊕ right bias), by Add and by Merge, must keep the
+// cache consistent.
 func TestFactSetCacheClassReplace(t *testing.T) {
 	fs := NewFactSet()
 	mk := func(oid int64, tag int64) Fact {
@@ -313,6 +425,27 @@ func TestFactSetCacheClassReplace(t *testing.T) {
 	}
 	if got := fs.FactsByComponent("node", "tag", value.Int(11)); len(got) != 1 {
 		t.Fatalf("missing bucket for new o-value: %v", got)
+	}
+
+	// The same ⊕ replacement through Merge, the path task deltas take:
+	// oid 2 changes o-value, oid 3 is new.
+	d := NewFactSet()
+	d.Add(mk(2, 21))
+	d.Add(mk(3, 30))
+	if !fs.Merge(d) {
+		t.Fatal("Merge of a replacing delta reported no change")
+	}
+	if n := len(fs.Facts("node")); n != 3 {
+		t.Fatalf("list size %d after Merge, want 3", n)
+	}
+	if got := fs.FactsByComponent("node", "tag", value.Int(20)); len(got) != 0 {
+		t.Fatalf("stale bucket after Merge replace: %v", got)
+	}
+	if got, ok := fs.HasOID("node", 2); !ok || got.Key() != mk(2, 21).Key() {
+		t.Fatalf("HasOID(2) = %v, %v; want the merged o-value", got, ok)
+	}
+	if fs.Merge(d) {
+		t.Fatal("re-merging the same delta reported a change")
 	}
 }
 
@@ -418,6 +551,33 @@ func BenchmarkFactSetIncremental(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFactSetMerge measures how a parallel round folds its worker
+// deltas into the current extension: an in-order Merge of each delta.
+func BenchmarkFactSetMerge(b *testing.B) {
+	const baseN, deltas, perDelta = 20000, 8, 1000
+	base := chainEdgeFacts(baseN)
+	base.Freeze() // warm views: the steady state between rounds
+	base.Thaw()
+	ds := make([]*FactSet, deltas)
+	for d := range ds {
+		ds[d] = NewFactSet()
+		for j := 0; j < perDelta; j++ {
+			ds[d].Add(edgeFact(baseN+d*perDelta+j, j))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cur := base.Clone()
+		cur.Facts("edge") // realistic: the view exists before the round
+		b.StartTimer()
+		for _, d := range ds {
+			cur.Merge(d)
+		}
 	}
 }
 

@@ -159,9 +159,8 @@ func (c *evalCtx) runSNTask(t snTask, out *FactSet) error {
 var snParallelCutoff = 256
 
 // runSNTasks runs one round's tasks and merges the private deltas (and
-// per-task stats) in task order; the merge fans one goroutine per
-// FactSet shard (Options.Shards) and stays bit-identical to the serial
-// task-order merge. Rounds whose probe size is under snParallelCutoff
+// per-task stats) in task order, so the result is bit-identical to the
+// serial engine. Rounds whose probe size is under snParallelCutoff
 // run the same task list inline on this goroutine instead (identical
 // results: same tasks, same order, same dedup) and record no
 // parallel.dispatch event.
@@ -191,7 +190,7 @@ func (p *Program) runSNTasks(round int, tasks []snTask, cur, delta *FactSet, cou
 					return
 				}
 				t := tasks[i]
-				out := NewFactSetShards(p.opts.Shards)
+				out := NewFactSet()
 				var st *Stats
 				if p.stats != nil {
 					st = newStats()
@@ -228,8 +227,10 @@ func (p *Program) runSNTasks(round int, tasks []snTask, cur, delta *FactSet, cou
 			return nil, err
 		}
 	}
-	merged := NewFactSetShards(p.opts.Shards)
-	p.recordMerge(round, merged.MergeOrdered(results))
+	merged := NewFactSet()
+	for _, r := range results {
+		merged.Merge(r)
+	}
 	return merged, nil
 }
 
@@ -239,7 +240,7 @@ func (p *Program) runSNTasks(round int, tasks []snTask, cur, delta *FactSet, cou
 // produces by ordered merge, without goroutines, private deltas, or
 // per-task stats.
 func (p *Program) runSNTasksInline(round int, tasks []snTask, cur, delta *FactSet, counter *int64) (*FactSet, error) {
-	out := NewFactSetShards(p.opts.Shards)
+	out := NewFactSet()
 	c := &evalCtx{p: p, f: cur, counter: counter, deltaIdx: -1, delta: delta,
 		stats: p.stats, g: p.armedGuard(), round: round, orchestrator: true}
 	for _, t := range tasks {
@@ -256,9 +257,8 @@ func (p *Program) semiNaiveParallel(stratum []*crule, f *FactSet, counter *int64
 	workers := p.opts.Workers
 	if p.stats != nil {
 		p.stats.Workers = workers
-		p.stats.Shards = p.opts.Shards
 	}
-	cur := f.CloneShards(p.opts.Shards)
+	cur := f.Clone()
 	cur.FreezeParallel(workers)
 
 	p.traceRoundBegin(0)
@@ -283,7 +283,7 @@ func (p *Program) semiNaiveParallel(stratum []*crule, f *FactSet, counter *int64
 		p.traceRoundBegin(round + 1)
 		start := time.Now()
 		cur.Thaw()
-		p.recordMerge(round+1, cur.MergeOrdered([]*FactSet{delta}))
+		cur.Merge(delta)
 		cur.FreezeParallel(workers)
 		delta.FreezeParallel(workers)
 		tasks := deltaTasks(stratum, cur, delta, workers)
@@ -306,19 +306,4 @@ func (p *Program) recordRound(round, tasks int, d time.Duration) {
 		return
 	}
 	p.stats.RoundTimings = append(p.stats.RoundTimings, RoundTiming{Round: round, Tasks: tasks, Duration: d})
-}
-
-// recordMerge appends the per-shard timing record of one ordered delta
-// merge to the stats (single-shard serial merges are skipped) and
-// emits the corresponding merge trace event.
-func (p *Program) recordMerge(round int, ms MergeStats) {
-	p.traceMerge(round, ms)
-	if p.stats == nil || len(ms.ShardDurations) == 0 {
-		return
-	}
-	p.stats.MergeTimings = append(p.stats.MergeTimings, MergeTiming{
-		Round:          round,
-		Shards:         ms.Shards,
-		ShardDurations: ms.ShardDurations,
-	})
 }

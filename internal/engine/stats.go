@@ -29,15 +29,9 @@ type Stats struct {
 	Invented int
 	// Workers is the worker count the evaluation ran with (1 = serial).
 	Workers int
-	// Shards is the FactSet shard count parallel evaluation partitioned
-	// the extension into (1 = unsharded serial merge).
-	Shards int
 	// RoundTimings records the wall-clock duration and task count of each
 	// parallel semi-naive round (empty for serial evaluations).
 	RoundTimings []RoundTiming
-	// MergeTimings records the per-shard wall-clock of each parallel
-	// ordered delta merge (empty for serial or single-shard evaluations).
-	MergeTimings []MergeTiming
 	// DeltaCurve records, per fixpoint round, how many facts the round
 	// contributed and the resulting total — the convergence curve of the
 	// run, in evaluation order across strata. Deterministic: parallel
@@ -97,18 +91,6 @@ type RoundTiming struct {
 	Duration time.Duration
 }
 
-// MergeTiming is the timing record of one parallel ordered delta merge:
-// how long each shard goroutine spent applying its partition.
-type MergeTiming struct {
-	// Round is the semi-naive round the merge belongs to (0 = round 0's
-	// task-result merge).
-	Round int
-	// Shards is the merge fan-out.
-	Shards int
-	// ShardDurations is the per-shard wall-clock, indexed by shard.
-	ShardDurations []time.Duration
-}
-
 func newStats() *Stats { return &Stats{Firings: map[int]int{}} }
 
 // LastStats returns the statistics of the most recent Run (nil before any
@@ -162,12 +144,9 @@ func (p *Program) Explain() string {
 			fmt.Fprintf(&b, "  aborted (%s) at stratum %d, round %d\n", st.Abort, st.AbortStratum, st.AbortRound)
 		}
 		if st.Workers > 1 {
-			// Workers/Shards are only informative when the last run actually
+			// Workers is only informative when the last run actually
 			// fanned out; serial runs record Workers == 1.
 			fmt.Fprintf(&b, "workers: %d\n", st.Workers)
-			if st.Shards > 1 {
-				fmt.Fprintf(&b, "shards: %d\n", st.Shards)
-			}
 		}
 		if len(st.RoundTimings) > 0 {
 			var total time.Duration
@@ -178,19 +157,6 @@ func (p *Program) Explain() string {
 			}
 			fmt.Fprintf(&b, "  parallel semi-naive: %d rounds, %d tasks, %s total\n",
 				len(st.RoundTimings), tasks, total)
-		}
-		if len(st.MergeTimings) > 0 {
-			var longest, sum time.Duration
-			for _, mt := range st.MergeTimings {
-				for _, d := range mt.ShardDurations {
-					sum += d
-					if d > longest {
-						longest = d
-					}
-				}
-			}
-			fmt.Fprintf(&b, "  sharded merges: %d merges × %d shards, %s critical path, %s aggregate\n",
-				len(st.MergeTimings), st.Shards, longest, sum)
 		}
 		if len(st.DeltaCurve) > 0 {
 			b.WriteString("  delta curve:")

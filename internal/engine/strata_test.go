@@ -14,7 +14,7 @@ import (
 // (splitLevel). The joint layout — one stratum per level — is rebuilt
 // here with computeStrata(false) and serves as the oracle: both layouts
 // must produce identical fact sets and oid counters for every
-// workers × shards × vectorize configuration.
+// workers × vectorize configuration.
 
 const stratSchema = `
 domains
@@ -135,7 +135,6 @@ func TestStratSplitMatchesJoint(t *testing.T) {
 			}
 
 			joint.SetWorkers(1)
-			joint.SetShards(1)
 			wantCounter := c0
 			want, err := joint.Run(edb, &wantCounter)
 			if err != nil {
@@ -147,23 +146,20 @@ func TestStratSplitMatchesJoint(t *testing.T) {
 					layout = "split"
 				}
 				for _, w := range []int{1, 2} {
-					for _, s := range []int{1, 2} {
-						for _, vec := range []bool{false, true} {
-							p.SetWorkers(w)
-							p.SetShards(s)
-							p.SetVectorize(vec)
-							counter := c0
-							got, err := p.Run(edb, &counter)
-							if err != nil {
-								t.Fatalf("%s/%s %s w%d s%d vec=%v: %v", tc.name, gname, layout, w, s, vec, err)
-							}
-							if !got.Equal(want) || counter != wantCounter {
-								t.Fatalf("%s/%s %s w%d s%d vec=%v: %d facts, counter %d; joint serial %d facts, counter %d",
-									tc.name, gname, layout, w, s, vec, got.TotalSize(), counter, want.TotalSize(), wantCounter)
-							}
-							if p == split && vec && tc.columnar && p.LastStats().VectorizedStrata == 0 {
-								t.Fatalf("%s/%s split vec: no stratum ran vectorized", tc.name, gname)
-							}
+					for _, vec := range []bool{false, true} {
+						p.SetWorkers(w)
+						p.SetVectorize(vec)
+						counter := c0
+						got, err := p.Run(edb, &counter)
+						if err != nil {
+							t.Fatalf("%s/%s %s w%d vec=%v: %v", tc.name, gname, layout, w, vec, err)
+						}
+						if !got.Equal(want) || counter != wantCounter {
+							t.Fatalf("%s/%s %s w%d vec=%v: %d facts, counter %d; joint serial %d facts, counter %d",
+								tc.name, gname, layout, w, vec, got.TotalSize(), counter, want.TotalSize(), wantCounter)
+						}
+						if p == split && vec && tc.columnar && p.LastStats().VectorizedStrata == 0 {
+							t.Fatalf("%s/%s split vec: no stratum ran vectorized", tc.name, gname)
 						}
 					}
 				}

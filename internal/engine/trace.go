@@ -24,11 +24,10 @@ import (
 //	eval.end | abort
 //
 // Deterministic kinds carry only evaluation-determined payloads, so for
-// a fixed program the canonical stream is byte-identical across
-// workers × shards configurations (the parallel operators already
-// guarantee bit-identical results and firing counts; these helpers emit
-// from the orchestrating goroutine at the same boundaries the serial
-// engine hits).
+// a fixed program the canonical stream is byte-identical across worker
+// counts (the parallel operators already guarantee bit-identical results
+// and firing counts; these helpers emit from the orchestrating goroutine
+// at the same boundaries the serial engine hits).
 //
 // The tracer-off fast path is a nil check per call site; no time.Now,
 // no allocation.
@@ -77,7 +76,6 @@ func (p *Program) traceEvalBegin(f0 *FactSet) {
 	p.emit(obs.Event{
 		Kind:    obs.KindEvalBegin,
 		Workers: p.opts.Workers,
-		Shards:  p.opts.Shards,
 		Count:   len(p.strata),
 		Total:   f0.TotalSize(),
 	})
@@ -239,8 +237,6 @@ func (c *evalCtx) traceInvent(r *crule, pred string, oid int64) {
 	})
 }
 
-// traceMerge reports one parallel sharded delta merge (a
-// nondeterministic-kind event: serial configurations never emit it).
 // traceParallelDispatch reports one round actually fanning out to the
 // worker pool (rounds under snParallelCutoff run inline and emit
 // nothing). Nondeterministic kind: present only on parallel
@@ -256,17 +252,4 @@ func (p *Program) traceParallelDispatch(round, tasks, probe int) {
 		Count:   tasks,
 		Total:   probe,
 	})
-}
-
-func (p *Program) traceMerge(round int, ms MergeStats) {
-	if !p.tracing() || len(ms.ShardDurations) == 0 {
-		return
-	}
-	var longest time.Duration
-	for _, d := range ms.ShardDurations {
-		if d > longest {
-			longest = d
-		}
-	}
-	p.emit(obs.Event{Kind: obs.KindMerge, Round: round, Shards: ms.Shards, Duration: longest})
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // Tests of the evaluation tracing layer: the canonical event stream
-// must be byte-identical across workers × shards configurations, the
+// must be byte-identical across worker counts, the
 // flight recorder must capture aborts (a panicking worker included),
 // and the in-round guard check must trip mid-round with a guard.check
 // event.
@@ -58,8 +58,9 @@ func (c *collectTracer) kinds() map[obs.Kind]int {
 	return m
 }
 
-// canonicalTrace runs the trace program at one workers × shards
-// configuration and returns the canonical JSONL stream.
+// canonicalTrace runs the trace program at one worker count, with the
+// deprecated (ignored) Options.Shards set as given, and returns the
+// canonical JSONL stream.
 func canonicalTrace(t *testing.T, workers, shards int) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -76,9 +77,10 @@ func canonicalTrace(t *testing.T, workers, shards int) string {
 	return buf.String()
 }
 
-// The canonical event stream must be byte-identical across every
-// workers × shards configuration — the trace extension of the engine's
-// bit-identical-results contract.
+// The canonical event stream must be byte-identical across worker counts
+// — the trace extension of the engine's bit-identical-results contract.
+// The shards axis sets the deprecated Options.Shards, which must leave
+// the stream unchanged.
 func TestTraceDeterminismAcrossConfigs(t *testing.T) {
 	want := canonicalTrace(t, 1, 1)
 	if want == "" {
@@ -105,9 +107,9 @@ func TestTraceDeterminismAcrossConfigs(t *testing.T) {
 // configuration-independent (it is derived from the same boundaries the
 // trace reports).
 func TestDeltaCurveDeterministic(t *testing.T) {
-	run := func(workers, shards int) []RoundDelta {
+	run := func(workers int) []RoundDelta {
 		p, err := tryBuild(edgeSchema, closureRules,
-			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: workers, Shards: shards})
+			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,18 +119,18 @@ func TestDeltaCurveDeterministic(t *testing.T) {
 		}
 		return p.LastStats().DeltaCurve
 	}
-	want := run(1, 1)
+	want := run(1)
 	if len(want) == 0 {
 		t.Fatal("serial run recorded no delta curve")
 	}
-	for _, cfg := range [][2]int{{1, 4}, {4, 1}, {4, 4}} {
-		got := run(cfg[0], cfg[1])
+	for _, workers := range []int{2, 4} {
+		got := run(workers)
 		if len(got) != len(want) {
-			t.Fatalf("workers=%d shards=%d: %d curve points, want %d", cfg[0], cfg[1], len(got), len(want))
+			t.Fatalf("workers=%d: %d curve points, want %d", workers, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d shards=%d: curve[%d] = %+v, want %+v", cfg[0], cfg[1], i, got[i], want[i])
+				t.Fatalf("workers=%d: curve[%d] = %+v, want %+v", workers, i, got[i], want[i])
 			}
 		}
 	}
@@ -148,7 +150,7 @@ func TestFlightRecorderSurvivesWorkerPanic(t *testing.T) {
 	var dump bytes.Buffer
 	fr.SetDumpOnAbort(&dump)
 	opts := Options{MaxSteps: 10000, SemiNaive: true, Stratify: true,
-		Workers: 4, Shards: 4, Tracer: fr}
+		Workers: 4, Tracer: fr}
 	p, err := tryBuild(edgeSchema, closureRules, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +183,7 @@ func TestInRoundFactBudgetTrip(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ct := &collectTracer{}
 			opts := Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true,
-				Workers: workers, Shards: 1, Budget: Budget{MaxFacts: 50}, Tracer: ct}
+				Workers: workers, Budget: Budget{MaxFacts: 50}, Tracer: ct}
 			p, err := tryBuild(edgeSchema, crossRules, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -244,7 +246,7 @@ type tracerFunc func(obs.Event)
 
 func (f tracerFunc) Event(ev obs.Event) { f(ev) }
 
-// Explain must print the workers/shards lines only when the last run
+// Explain must print the workers line only when the last run
 // actually fanned out, and must attribute a budget abort to the rules
 // of the aborted stratum.
 func TestExplainWorkersAndAbortAttribution(t *testing.T) {
@@ -262,7 +264,7 @@ func TestExplainWorkersAndAbortAttribution(t *testing.T) {
 	}
 
 	p4, err := tryBuild(edgeSchema, closureRules,
-		Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 4, Shards: 4})
+		Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +273,11 @@ func TestExplainWorkersAndAbortAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := p4.Explain()
-	if !strings.Contains(out, "workers: 4") || !strings.Contains(out, "shards: 4") {
-		t.Fatalf("parallel Explain missing workers/shards:\n%s", out)
+	if !strings.Contains(out, "workers: 4") {
+		t.Fatalf("parallel Explain missing workers:\n%s", out)
+	}
+	if strings.Contains(out, "shard") {
+		t.Fatalf("parallel Explain still reports shards:\n%s", out)
 	}
 	if !strings.Contains(out, "delta curve:") {
 		t.Fatalf("Explain missing delta curve:\n%s", out)

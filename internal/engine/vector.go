@@ -602,7 +602,7 @@ func (vs *vecStratum) traceVecKernels(stratum int) {
 // boundary mirror semiNaiveSerial exactly.
 func (p *Program) semiNaiveVectorized(vs *vecStratum, f *FactSet, counter *int64) (*FactSet, error) {
 	cur := f.Clone()
-	// The freeze builds every tracked predicate's merged view once, and
+	// The freeze builds every tracked predicate's view once, and
 	// the batches are encoded from that canonical snapshot; after that
 	// the batches are maintained incrementally (delta appends), so the
 	// set is thawed again for the per-round merges.

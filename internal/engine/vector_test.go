@@ -12,7 +12,7 @@ import (
 // Differential tests of the columnar evaluation path: for every program
 // and EDB, the vectorized engine must produce the same facts, the same
 // Firings, and the same convergence curve as the row engine, across the
-// full workers × shards × vectorize matrix.
+// full workers × vectorize matrix.
 
 const vecSchema = `
 associations
@@ -58,14 +58,14 @@ func vecEDBs() map[string]*FactSet {
 }
 
 // TestVectorizedMatrixDifferential is the satellite matrix: row serial
-// is the oracle; every {workers, shards} ∈ {1,4}² × vectorize {off,on}
+// is the oracle; every workers {1,4} × vectorize {off,on}
 // configuration must agree on the result set, and the vectorized serial
 // run must also reproduce the oracle's Firings and DeltaCurve exactly
 // (same rounds, same per-rule valuation counts).
 func TestVectorizedMatrixDifferential(t *testing.T) {
 	for pname, rules := range vecPrograms {
 		p, err := tryBuild(vecSchema, rules,
-			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1, Shards: 1})
+			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", pname, err)
 		}
@@ -73,7 +73,6 @@ func TestVectorizedMatrixDifferential(t *testing.T) {
 			c0 := int64(0)
 			p.SetVectorize(false)
 			p.SetWorkers(1)
-			p.SetShards(1)
 			oracle, err := p.Run(edb.Clone(), &c0)
 			if err != nil {
 				t.Fatalf("%s/%s oracle: %v", pname, ename, err)
@@ -81,38 +80,35 @@ func TestVectorizedMatrixDifferential(t *testing.T) {
 			oracleStats := *p.LastStats()
 
 			for _, workers := range []int{1, 4} {
-				for _, shards := range []int{1, 4} {
-					for _, vec := range []bool{false, true} {
-						c := int64(0)
-						p.SetWorkers(workers)
-						p.SetShards(shards)
-						p.SetVectorize(vec)
-						got, err := p.Run(edb.Clone(), &c)
-						if err != nil {
-							t.Fatalf("%s/%s w=%d s=%d vec=%v: %v", pname, ename, workers, shards, vec, err)
+				for _, vec := range []bool{false, true} {
+					c := int64(0)
+					p.SetWorkers(workers)
+					p.SetVectorize(vec)
+					got, err := p.Run(edb.Clone(), &c)
+					if err != nil {
+						t.Fatalf("%s/%s w=%d vec=%v: %v", pname, ename, workers, vec, err)
+					}
+					if !got.Equal(oracle) {
+						t.Fatalf("%s/%s w=%d vec=%v: diverged from row serial (%d vs %d facts)",
+							pname, ename, workers, vec, got.TotalSize(), oracle.TotalSize())
+					}
+					st := p.LastStats()
+					if vec && workers == 1 {
+						if fmt.Sprint(st.Firings) != fmt.Sprint(oracleStats.Firings) {
+							t.Fatalf("%s/%s vectorized Firings = %v, row = %v",
+								pname, ename, st.Firings, oracleStats.Firings)
 						}
-						if !got.Equal(oracle) {
-							t.Fatalf("%s/%s w=%d s=%d vec=%v: diverged from row serial (%d vs %d facts)",
-								pname, ename, workers, shards, vec, got.TotalSize(), oracle.TotalSize())
+						if fmt.Sprint(st.DeltaCurve) != fmt.Sprint(oracleStats.DeltaCurve) {
+							t.Fatalf("%s/%s vectorized DeltaCurve = %v, row = %v",
+								pname, ename, st.DeltaCurve, oracleStats.DeltaCurve)
 						}
-						st := p.LastStats()
-						if vec && workers == 1 && shards == 1 {
-							if fmt.Sprint(st.Firings) != fmt.Sprint(oracleStats.Firings) {
-								t.Fatalf("%s/%s vectorized Firings = %v, row = %v",
-									pname, ename, st.Firings, oracleStats.Firings)
-							}
-							if fmt.Sprint(st.DeltaCurve) != fmt.Sprint(oracleStats.DeltaCurve) {
-								t.Fatalf("%s/%s vectorized DeltaCurve = %v, row = %v",
-									pname, ename, st.DeltaCurve, oracleStats.DeltaCurve)
-							}
-							if st.Steps != oracleStats.Steps {
-								t.Fatalf("%s/%s vectorized Steps = %d, row = %d",
-									pname, ename, st.Steps, oracleStats.Steps)
-							}
+						if st.Steps != oracleStats.Steps {
+							t.Fatalf("%s/%s vectorized Steps = %d, row = %d",
+								pname, ename, st.Steps, oracleStats.Steps)
 						}
-						if vec && ename == "chain" && st.VectorizedStrata == 0 && pname != "fallback-mix" {
-							t.Fatalf("%s/%s: vectorize on but VectorizedStrata = 0", pname, ename)
-						}
+					}
+					if vec && ename == "chain" && st.VectorizedStrata == 0 && pname != "fallback-mix" {
+						t.Fatalf("%s/%s: vectorize on but VectorizedStrata = 0", pname, ename)
 					}
 				}
 			}
@@ -124,7 +120,7 @@ func TestVectorizedMatrixDifferential(t *testing.T) {
 // engine while the closure stratum stays columnar.
 func TestVectorizedFallbackIsPerStratum(t *testing.T) {
 	p, err := tryBuild(vecSchema, vecPrograms["fallback-mix"],
-		Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1, Shards: 1, Vectorize: true})
+		Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1, Vectorize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +147,7 @@ func TestVectorizedTraceDeterministic(t *testing.T) {
 	stream := func() string {
 		var buf bytes.Buffer
 		p, err := tryBuild(vecSchema, vecPrograms["negation"],
-			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1, Shards: 1,
+			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1,
 				Vectorize: true, Tracer: obs.NewCanonicalJSONL(&buf)})
 		if err != nil {
 			t.Fatal(err)
@@ -182,7 +178,7 @@ func TestVectorizedEmptyBodyRule(t *testing.T) {
 	p, err := tryBuild(vecSchema, `
 hub(a: 5).
 loop(a: X) <- hub(a: X).
-`, Options{MaxSteps: 100, SemiNaive: true, Stratify: true, Workers: 1, Shards: 1, Vectorize: true})
+`, Options{MaxSteps: 100, SemiNaive: true, Stratify: true, Workers: 1, Vectorize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,9 @@
 // Determinism contract: events whose Kind is deterministic (stratum,
 // round, rule-firing, oid-invention, budget-axis, abort events) carry
 // only evaluation-determined payloads — for a fixed program and input,
-// their ordered stream is identical for every workers × shards
-// configuration. Wall-clock fields (Time, Duration) and
-// configuration-dependent fields (Workers, Shards, Shard) are excluded
+// their ordered stream is identical for every worker count. Wall-clock
+// fields (Time, Duration) and the configuration-dependent Workers field
+// are excluded
 // from that contract; the canonical JSONL sink strips them (and skips
 // the nondeterministic kinds entirely) so two traces can be compared
 // byte for byte.
@@ -32,7 +32,7 @@ type Kind string
 // each kind.
 const (
 	// KindEvalBegin opens one engine evaluation (Program.Run): Workers,
-	// Shards, Count = strata, Total = extensional facts.
+	// Count = strata, Total = extensional facts.
 	KindEvalBegin Kind = "eval.begin"
 	// KindEvalEnd closes a successful evaluation: Count = rounds run,
 	// Total = final fact count, Duration = wall-clock.
@@ -55,10 +55,6 @@ const (
 	// KindOIDInvent reports one invented oid: Rule, Pred = class,
 	// OID = the invented identifier.
 	KindOIDInvent Kind = "oid.invent"
-	// KindMerge reports one parallel sharded delta merge: Round,
-	// Shards, Duration = critical path (longest shard).
-	// Nondeterministic: present only on parallel configurations.
-	KindMerge Kind = "merge"
 	// KindBudget reports consumption against one armed budget axis at a
 	// round boundary: Axis, Count = used, Limit = the effective bound.
 	KindBudget Kind = "budget"
@@ -98,7 +94,7 @@ const (
 	// order: Stratum, Pred = kernel name (select/join/antijoin/filter/
 	// emit), Count = invocations, Total = rows produced,
 	// Detail = "vectorize". Deterministic: the columnar path is
-	// batch-at-a-time, so the counters do not depend on workers/shards.
+	// batch-at-a-time, so the counters do not depend on workers.
 	KindVecKernel Kind = "vec.kernel"
 	// KindParallelDispatch reports one semi-naive round actually fanning
 	// out to the worker pool (rounds below the size cutoff run inline
@@ -145,10 +141,10 @@ const (
 
 // Deterministic reports whether events of this kind are part of the
 // determinism contract: their ordered stream is identical for every
-// workers × shards configuration (wall-clock fields excluded).
+// worker count (wall-clock fields excluded).
 func (k Kind) Deterministic() bool {
 	switch k {
-	case KindMerge, KindGuardCheck, KindModuleCommit, KindModuleConflict, KindModuleRetry,
+	case KindGuardCheck, KindModuleCommit, KindModuleConflict, KindModuleRetry,
 		KindParallelDispatch, KindWALAppend, KindWALSync, KindWALRecover, KindWALCompact,
 		KindIVMPropagate, KindIVMRebuild, KindSubEmit:
 		return false
@@ -183,10 +179,9 @@ type Event struct {
 	Axis string
 	// Limit is the effective bound of the axis (KindBudget).
 	Limit int64
-	// Workers and Shards describe the evaluation configuration
-	// (KindEvalBegin); Shard indexes one merge goroutine (KindMerge).
+	// Workers is the evaluation's worker count (KindEvalBegin).
 	// Configuration-dependent: excluded from the determinism contract.
-	Workers, Shards, Shard int
+	Workers int
 	// Duration is the wall-clock measurement of timing-carrying kinds.
 	// Excluded from the determinism contract.
 	Duration time.Duration

@@ -26,8 +26,6 @@ type jsonEvent struct {
 	Axis     string `json:"axis,omitempty"`
 	Limit    int64  `json:"limit,omitempty"`
 	Workers  int    `json:"workers,omitempty"`
-	Shards   int    `json:"shards,omitempty"`
-	Shard    int    `json:"shard,omitempty"`
 	Duration int64  `json:"duration_ns,omitempty"`
 	Detail   string `json:"detail,omitempty"`
 	Fallback string `json:"fallback,omitempty"`
@@ -49,8 +47,7 @@ func NewJSONL(w io.Writer) *JSONL { return &JSONL{w: w} }
 // NewCanonicalJSONL returns a JSONL sink in canonical (deterministic)
 // mode: timestamps, durations, and configuration-dependent fields are
 // stripped and nondeterministic event kinds are skipped, so the output
-// for a fixed program is byte-identical across workers × shards
-// configurations.
+// for a fixed program is byte-identical across worker counts.
 func NewCanonicalJSONL(w io.Writer) *JSONL { return &JSONL{w: w, canonical: true} }
 
 // Event implements Tracer.
@@ -77,7 +74,7 @@ func (t *JSONL) Event(ev Event) {
 			when = time.Now()
 		}
 		je.Time = when.UTC().Format(time.RFC3339Nano)
-		je.Workers, je.Shards, je.Shard = ev.Workers, ev.Shards, ev.Shard
+		je.Workers = ev.Workers
 		je.Duration = int64(ev.Duration)
 		je.Fallback = ev.Fallback
 		je.Req = ev.Req
@@ -125,8 +122,8 @@ func (t *Text) Event(ev Event) {
 func FormatEvent(ev Event) string {
 	switch ev.Kind {
 	case KindEvalBegin:
-		return fmt.Sprintf("eval: begin workers=%d shards=%d strata=%d facts=%d",
-			ev.Workers, ev.Shards, ev.Count, ev.Total)
+		return fmt.Sprintf("eval: begin workers=%d strata=%d facts=%d",
+			ev.Workers, ev.Count, ev.Total)
 	case KindEvalEnd:
 		return fmt.Sprintf("eval: end rounds=%d facts=%d in %s", ev.Count, ev.Total, ev.Duration)
 	case KindStratumBegin:
@@ -147,8 +144,6 @@ func FormatEvent(ev Event) string {
 	case KindOIDInvent:
 		return fmt.Sprintf("stratum %d round %d: rule #%d invented oid %d (%s)",
 			ev.Stratum, ev.Round, ev.Rule, ev.OID, ev.Pred)
-	case KindMerge:
-		return fmt.Sprintf("round %d: merged %d shards in %s", ev.Round, ev.Shards, ev.Duration)
 	case KindBudget:
 		return fmt.Sprintf("stratum %d round %d: budget %s %d/%d",
 			ev.Stratum, ev.Round, ev.Axis, ev.Count, ev.Limit)

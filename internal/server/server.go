@@ -460,9 +460,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if o.Workers != 0 {
 			opts = append(opts, logres.WithWorkers(o.Workers))
 		}
-		if o.Shards != 0 {
-			opts = append(opts, logres.WithShards(o.Shards))
-		}
 		if o.MaxRetries != 0 {
 			opts = append(opts, logres.WithMaxRetries(o.MaxRetries))
 		}

@@ -261,6 +261,30 @@ func TestExecParseErrorMapsTo400(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsUnknownOption: per-database options are decoded
+// strictly, so a field the server no longer knows — the removed
+// "shards" — is a 400 rather than silently ignored.
+func TestCreateRejectsUnknownOption(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	body := `{"schema": ` + fmt.Sprintf("%q", testSchema) + `, "options": {"workers": 2, "shards": 4}}`
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/db/db", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er client.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || er.Kind != client.KindInvalid || !strings.Contains(er.Error, "shards") {
+		t.Fatalf("PUT with shards = %d %+v, want 400 invalid naming the field", resp.StatusCode, er)
+	}
+}
+
 // TestMapErrorCancellation pins the cancellation rows of the error
 // table: client cancel → 499, evaluation deadline → 504.
 func TestMapErrorCancellation(t *testing.T) {

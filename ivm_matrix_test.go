@@ -12,7 +12,7 @@ import (
 // mixed workload (serial and optimistic applications, insertions and
 // RDDV deletions), render exactly the instance a from-scratch database
 // renders, and persist exactly the same Save bytes — for every workers
-// × shards × vectorize combination, over program classes covering
+// × vectorize combination, over program classes covering
 // counting, recursive closure (DRed), stratified negation (suffix
 // recomputation), and oid-inventing fallback strata.
 
@@ -161,42 +161,40 @@ func TestIncrementalSaveBytesMatrix(t *testing.T) {
 				t.Fatal("oracle derived nothing")
 			}
 			for _, workers := range []int{1, 4} {
-				for _, shards := range []int{1, 4} {
-					for _, vec := range []bool{false, true} {
-						db, err := Open(schema, WithIncremental(true),
-							WithWorkers(workers), WithShards(shards), WithVectorize(vec))
+				for _, vec := range []bool{false, true} {
+					db, err := Open(schema, WithIncremental(true),
+						WithWorkers(workers), WithVectorize(vec))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := db.Exec(prog.rules); err != nil {
+						t.Fatal(err)
+					}
+					for i, c := range ivmMatrixCommits() {
+						if c.concurrent {
+							_, err = db.ExecConcurrent(c.src)
+						} else {
+							_, err = db.Exec(c.src)
+						}
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, err := db.Exec(prog.rules); err != nil {
+						got, err := db.InstanceString()
+						if err != nil {
 							t.Fatal(err)
 						}
-						for i, c := range ivmMatrixCommits() {
-							if c.concurrent {
-								_, err = db.ExecConcurrent(c.src)
-							} else {
-								_, err = db.Exec(c.src)
-							}
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, err := db.InstanceString()
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got != wantInstances[i] {
-								t.Fatalf("workers=%d shards=%d vectorize=%v commit %d: incremental instance diverges from scratch",
-									workers, shards, vec, i)
-							}
+						if got != wantInstances[i] {
+							t.Fatalf("workers=%d vectorize=%v commit %d: incremental instance diverges from scratch",
+								workers, vec, i)
 						}
-						var sb strings.Builder
-						if err := db.Save(&sb2{&sb}); err != nil {
-							t.Fatal(err)
-						}
-						if sb.String() != wantSave {
-							t.Fatalf("workers=%d shards=%d vectorize=%v: Save bytes diverge from scratch",
-								workers, shards, vec)
-						}
+					}
+					var sb strings.Builder
+					if err := db.Save(&sb2{&sb}); err != nil {
+						t.Fatal(err)
+					}
+					if sb.String() != wantSave {
+						t.Fatalf("workers=%d vectorize=%v: Save bytes diverge from scratch",
+							workers, vec)
 					}
 				}
 			}

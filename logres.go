@@ -160,12 +160,11 @@ func WithWorkers(n int) Option {
 	return func(db *Database) { db.opts.Workers = n }
 }
 
-// WithShards sets the number of partitions parallel evaluation splits the
-// fact set into, so worker deltas merge concurrently — one goroutine per
-// shard (n <= 0 selects GOMAXPROCS, 1 keeps the serial merge). Results
-// are bit-identical for any shard count.
+// WithShards does nothing: the fact set is no longer partitioned.
+//
+// Deprecated: kept only so existing callers still compile.
 func WithShards(n int) Option {
-	return func(db *Database) { db.opts.Shards = n }
+	return func(*Database) {}
 }
 
 // WithVectorize toggles columnar evaluation: eligible semi-naive strata

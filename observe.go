@@ -18,7 +18,7 @@ import (
 
 // Tracer receives typed evaluation events: stratum and round
 // boundaries with delta sizes, per-round rule firing counts, oid
-// inventions, shard-merge timings, budget consumption, and aborts.
+// inventions, parallel dispatches, budget consumption, and aborts.
 // Implementations must be safe for concurrent use and must not block —
 // they run inline with evaluation.
 type Tracer = obs.Tracer
@@ -57,8 +57,7 @@ func NewJSONLTracer(w io.Writer) *obs.JSONL { return obs.NewJSONL(w) }
 // NewCanonicalJSONLTracer is NewJSONLTracer in canonical mode:
 // timestamps, durations, and configuration-dependent fields are
 // stripped and nondeterministic kinds skipped, so the stream for a
-// fixed program is byte-identical across workers × shards
-// configurations.
+// fixed program is byte-identical across worker counts.
 func NewCanonicalJSONLTracer(w io.Writer) *obs.JSONL { return obs.NewCanonicalJSONL(w) }
 
 // NewTextTracer returns a tracer writing human-readable one-line

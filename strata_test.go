@@ -41,7 +41,7 @@ end.
 
 func TestStratClosureBesideIsaRunsSemiNaive(t *testing.T) {
 	module := stratIsaModule(128)
-	db, err := Open(stratIsaSchema, WithWorkers(1), WithShards(1))
+	db, err := Open(stratIsaSchema, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestStratClosureBesideIsaRunsSemiNaive(t *testing.T) {
 		t.Fatalf("no stratum reports the isa rule's class head: %q", fallbacks)
 	}
 
-	naive, err := Open(stratIsaSchema, WithSemiNaive(false), WithWorkers(1), WithShards(1))
+	naive, err := Open(stratIsaSchema, WithSemiNaive(false), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,7 @@ import (
 
 // Top-level differential property: the persisted database — Save's
 // exact byte stream — must be identical whether evaluation ran on the
-// row engine or the columnar engine, for every workers × shards
-// combination. This is the end-to-end counterpart of the engine-level
+// row engine or the columnar engine, for every worker count. This is the end-to-end counterpart of the engine-level
 // matrix test (internal/engine/vector_test.go): it covers parsing,
 // module application, storage, and serialization on top of evaluation.
 
@@ -40,10 +39,9 @@ func vecMatrixEdges() string {
 	return sb.String()
 }
 
-func vecMatrixSave(t *testing.T, workers, shards int, vectorize bool) string {
+func vecMatrixSave(t *testing.T, workers int, vectorize bool) string {
 	t.Helper()
-	db, err := Open(vecMatrixSchema,
-		WithWorkers(workers), WithShards(shards), WithVectorize(vectorize))
+	db, err := Open(vecMatrixSchema, WithWorkers(workers), WithVectorize(vectorize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,18 +59,15 @@ func vecMatrixSave(t *testing.T, workers, shards int, vectorize bool) string {
 }
 
 func TestVectorizedSaveBytesMatrix(t *testing.T) {
-	oracle := vecMatrixSave(t, 1, 1, false)
+	oracle := vecMatrixSave(t, 1, false)
 	if !strings.Contains(oracle, "tc") {
 		t.Fatal("oracle run derived nothing")
 	}
-	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			for _, vec := range []bool{false, true} {
-				got := vecMatrixSave(t, workers, shards, vec)
-				if got != oracle {
-					t.Fatalf("workers=%d shards=%d vectorize=%v: Save bytes diverge from row serial",
-						workers, shards, vec)
-				}
+	for _, workers := range []int{1, 2, 4} {
+		for _, vec := range []bool{false, true} {
+			got := vecMatrixSave(t, workers, vec)
+			if got != oracle {
+				t.Fatalf("workers=%d vectorize=%v: Save bytes diverge from row serial", workers, vec)
 			}
 		}
 	}
