@@ -2,10 +2,8 @@ package logres
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"logres/internal/engine"
 	"logres/internal/guard"
 	"logres/internal/hooks"
 	"logres/internal/module"
@@ -15,17 +13,18 @@ import (
 
 // Optimistic concurrent module application (DESIGN.md §9). Serial
 // Exec/Apply hold the write lock for the whole evaluation; concurrent
-// application holds it only for a short commit critical section:
+// application holds it only for the commit pipeline (commit.go):
 //
 //  1. snapshot — read-lock just long enough to capture the published
 //     (frozen) state and the commit-log epoch;
 //  2. apply — run the module against the snapshot outside any lock,
 //     recording its read/write predicate footprint (static analysis of
 //     the compiled rules, narrowed/widened by the runtime delta);
-//  3. validate + commit — write-lock, check the footprint against every
-//     write committed since the snapshot epoch, and on success merge
-//     the fact delta onto the current committed state (or install the
-//     result wholesale when nothing intervened);
+//  3. commit — write-lock and run the same stage → validate → WAL →
+//     publish → notify pipeline serial applications use; staging checks
+//     the footprint against every write committed since the snapshot
+//     epoch and merges the fact delta onto the current state (or takes
+//     the result as is when nothing intervened);
 //  4. retry — on conflict, back off (capped exponential) and restart
 //     from a fresh snapshot, up to the retry budget; exhaustion surfaces
 //     a *ConflictError naming both footprints.
@@ -129,14 +128,11 @@ func (db *Database) ApplyConcurrentContext(ctx context.Context, m *Module, mode 
 
 		// Deferred validation (view.go): when the maintainer can audit the
 		// committed instance incrementally, skip the from-scratch instance
-		// computation inside the snapshot application — tryCommit stages
+		// computation inside the snapshot application — the commit stages
 		// the propagation and validates before the commit lands.
-		var sr *module.SnapshotResult
-		var err error
-		if deferOK {
-			sr, err = module.ApplySnapshotDeferred(st, m, mode, opts)
-		} else {
-			sr, err = module.ApplySnapshot(st, m, mode, opts)
+		sr, err := module.ApplySnapshot(st, m, mode, opts, deferOK)
+		if err == nil {
+			err = sr.Analyze(st, m, mode, opts)
 		}
 		if err != nil {
 			return nil, err
@@ -145,14 +141,17 @@ func (db *Database) ApplyConcurrentContext(ctx context.Context, m *Module, mode 
 			hook(attempt)
 		}
 
-		_, path, pred, theirs, ok, err := db.tryCommit(opts, epoch, sr)
+		path, conflict, err := func() (string, *ConflictError, error) {
+			db.mu.Lock()
+			defer db.mu.Unlock()
+			return db.commit(opts, change{sr: sr, epoch: epoch})
+		}()
 		if err != nil {
-			// A WAL failure is not a conflict: the evaluation succeeded
-			// but could not be made durable. No retry — the store
-			// refuses writes until the database is reopened.
+			// A rejection or a WAL failure is not a conflict: no retry (a
+			// failed store refuses writes until the database is reopened).
 			return nil, err
 		}
-		if ok {
+		if conflict == nil {
 			if tracer != nil {
 				tracer.Event(obs.Event{Kind: obs.KindModuleCommit, Pred: m.Name,
 					Round: attempt, Count: len(sr.Adds) + len(sr.Removes), Detail: path})
@@ -161,19 +160,19 @@ func (db *Database) ApplyConcurrentContext(ctx context.Context, m *Module, mode 
 		}
 
 		if tracer != nil {
-			tracer.Event(obs.Event{Kind: obs.KindModuleConflict, Pred: pred, Round: attempt,
-				Detail: "mine: " + sr.Footprint.String() + "; theirs: " + theirs.String()})
+			tracer.Event(obs.Event{Kind: obs.KindModuleConflict, Pred: conflict.Pred, Round: attempt,
+				Detail: "mine: " + conflict.Mine.String() + "; theirs: " + conflict.Theirs.String()})
 		}
 		if attempt >= maxRetries {
-			cerr := &ConflictError{Pred: pred, Retries: attempt, Mine: sr.Footprint, Theirs: theirs}
+			conflict.Retries = attempt
 			if tracer != nil {
 				// The abort event is what flight recorders key their
 				// dump on and what the metrics adapter counts under
 				// logres_aborts_total{axis="retries"}.
 				tracer.Event(obs.Event{Kind: obs.KindAbort, Axis: string(AxisRetries),
-					Stratum: -1, Round: attempt, Detail: cerr.Error()})
+					Stratum: -1, Round: attempt, Detail: conflict.Error()})
 			}
-			return nil, cerr
+			return nil, conflict
 		}
 
 		backoff := retryBackoff(attempt)
@@ -210,109 +209,6 @@ func retryBackoff(attempt int) time.Duration {
 		}
 	}
 	return d
-}
-
-// tryCommit is the commit critical section: validate the attempt's
-// footprint against the writes committed since its snapshot epoch and
-// install the outcome. It returns the committed state (nil for
-// read-only), the commit path for tracing, and on failure the
-// conflicting predicate plus the committed footprint it collided with.
-// On a durable database the commit is WAL-logged before it is
-// published; a logging failure (err != nil) fails the application
-// without a retry — the store refuses further writes until reopened.
-// opts is the applying call's (request-instrumented) configuration: its
-// tracer attributes the WAL append and any fsync wait to the request
-// that paid for them, and deferred-validation fallbacks validate under
-// the call's own budget.
-func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.SnapshotResult) (next *module.State, path, pred string, theirs Footprint, ok bool, err error) {
-	tracer := opts.Tracer
-	db.mu.Lock()
-	defer db.mu.Unlock()
-
-	if sr.ReadOnly {
-		// Queries validate nothing: the answer was computed against a
-		// consistent snapshot, which equals the serial order in which
-		// the query ran at its snapshot point.
-		return nil, "read-only", "", Footprint{}, true, nil
-	}
-	if sr.Replace {
-		// Whole-state replacement is only sound when nothing committed
-		// since the snapshot — it carries no mergeable delta.
-		if db.log.Epoch() != epoch {
-			return nil, "", "*", Footprint{Universal: true}, false, nil
-		}
-		if err := db.walAppendReplace(tracer, epoch+1, sr.Res.State); err != nil {
-			return nil, "", "", Footprint{}, false, err
-		}
-		prev := db.st
-		db.publish(sr.Res.State)
-		db.log.Record(Footprint{Universal: true})
-		db.maybeCompact()
-		db.maintAfterReplace(tracer, prev)
-		return sr.Res.State, "replace", "", Footprint{}, true, nil
-	}
-	if p, their, valid := db.log.Validate(epoch, sr.Footprint); !valid {
-		return nil, "", p, their, false, nil
-	}
-	if db.log.Epoch() == epoch {
-		// Nothing committed since the snapshot: the evaluated result
-		// state is already the correct successor.
-		next, path = sr.Res.State, "fast"
-	} else {
-		// Disjoint concurrent commits landed: replay the delta onto the
-		// current committed state.
-		next, path = module.CommitDelta(db.st, sr), "merge"
-	}
-	if sr.Deferred {
-		// The snapshot application skipped its instance validation; stage
-		// the propagation through the maintainer and audit the maintained
-		// instance before the commit lands. On the merge path this audits
-		// the actually committed state, not just the snapshot result.
-		if db.maintDeferUsable() {
-			start := time.Now()
-			vd, rollback, uerr := db.maint.UpdateStaged(sr.Adds, sr.Removes, next.E, next.Counter)
-			if uerr == nil {
-				if verr := db.maintValidate(next.S, vd); verr != nil {
-					rollback()
-					return nil, "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", verr)
-				}
-				if err := db.walAppendDelta(tracer, db.log.Epoch()+1, sr); err != nil {
-					rollback()
-					return nil, "", "", Footprint{}, false, err
-				}
-				db.publish(next)
-				db.log.Record(Footprint{Writes: sr.Footprint.Writes})
-				db.maybeCompact()
-				ep := db.log.Epoch()
-				if tracer != nil {
-					tracer.Event(obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Round: int(ep),
-						Count: len(vd.Adds) + len(vd.Removes), Total: db.maint.Full().TotalSize(),
-						Duration: time.Since(start)})
-				}
-				db.notifySubs(tracer, ep, vd)
-				return next, path, "", Footprint{}, true, nil
-			}
-			// Propagation failed: the maintainer is inconsistent; validate
-			// the scratch way below and let maintAfterDelta rebuild it.
-			db.maintErr = uerr
-		}
-		// Staging unavailable (the maintainer went unhealthy since the
-		// snapshot): validate from scratch under the lock — rare.
-		if _, _, verr := next.Instance(opts); verr != nil {
-			return nil, "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", verr)
-		}
-	}
-	// The delta record replays removes-then-adds onto the predecessor
-	// state — exactly what CommitDelta does — so recovery reproduces
-	// next byte for byte on both the fast and merge paths.
-	if err := db.walAppendDelta(tracer, db.log.Epoch()+1, sr); err != nil {
-		return nil, "", "", Footprint{}, false, err
-	}
-	db.publish(next)
-	db.log.Record(Footprint{Writes: sr.Footprint.Writes})
-	db.maybeCompact()
-	db.maintAfterDelta(tracer, sr.Adds, sr.Removes)
-	return next, path, "", Footprint{}, true, nil
 }
 
 // CommitEpoch returns the database's current commit epoch — the number

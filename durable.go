@@ -1,12 +1,10 @@
 package logres
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"logres/internal/engine"
-	"logres/internal/module"
 	"logres/internal/obs"
 	"logres/internal/storage"
 )
@@ -199,55 +197,6 @@ func (db *Database) AsOf(epoch uint64) (*Database, error) {
 	past := &Database{opts: opts, log: storage.NewCommitLogAt(epoch, 0)}
 	past.publish(st)
 	return past, nil
-}
-
-// walAppendReplace logs a whole-state replacement commit at epoch. The
-// tracer is the committing call's (request-instrumented when the call
-// runs under a span) so the append and its fsync wait are attributed;
-// nil falls back to the store-wide tracer. No-op without a store.
-func (db *Database) walAppendReplace(t Tracer, epoch uint64, st *module.State) error {
-	if db.store == nil {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := storage.SaveState(&buf, st); err != nil {
-		return fmt.Errorf("logres: serializing commit for wal: %w", err)
-	}
-	return db.store.AppendWith(t, &storage.WALRecord{
-		Type:  storage.RecReplace,
-		Epoch: epoch,
-		State: buf.Bytes(),
-	})
-}
-
-// walAppendDelta logs an optimistic delta commit at epoch, attributed
-// to the committing call's tracer. No-op without a store.
-func (db *Database) walAppendDelta(t Tracer, epoch uint64, sr *module.SnapshotResult) error {
-	if db.store == nil {
-		return nil
-	}
-	return db.store.AppendWith(t, &storage.WALRecord{
-		Type:         storage.RecDelta,
-		Epoch:        epoch,
-		Writes:       sr.Footprint.Writes,
-		CounterDelta: sr.CounterDelta,
-		Removes:      sr.Removes,
-		Adds:         sr.Adds,
-	})
-}
-
-// walAppendRegister logs a module registration at epoch, as the
-// module's canonical source (the parser round-trips it on replay).
-// No-op without a store.
-func (db *Database) walAppendRegister(epoch uint64, m *Module) error {
-	if db.store == nil {
-		return nil
-	}
-	return db.store.Append(&storage.WALRecord{
-		Type:   storage.RecRegister,
-		Epoch:  epoch,
-		Source: module.RenderModule(m),
-	})
 }
 
 // maybeCompact runs a compaction when the WAL has grown past the

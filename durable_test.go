@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"strings"
 	"sync"
 	"testing"
 
 	"logres/internal/hooks"
+	"logres/internal/obs"
 	"logres/internal/storage"
 )
 
@@ -220,6 +222,84 @@ func TestDurableAutoCompaction(t *testing.T) {
 	}
 }
 
+// TestDurableRegisterCompacts: registrations are commits like any other,
+// so a stream of them alone reaches the compaction threshold, and the
+// compacted directory recovers the library exactly.
+func TestDurableRegisterCompacts(t *testing.T) {
+	dir := t.TempDir()
+	db, _, err := OpenDurable(durableSchema, Durability{Dir: dir, Fsync: FsyncOff, CompactEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 7; i++ {
+		if err := db.Register(fmt.Sprintf("module m%d.\nmode ridv.\nrules\n  q0(x: %d).\nend.\n", i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, _ := db.Durability()
+	if st.CheckpointEpoch == 0 {
+		t.Fatalf("no automatic compaction after 7 registrations with CompactEvery=3: %+v", st)
+	}
+	want := saveBytesDurable(t, db)
+	db.Close()
+	db2, _, err := OpenDurable(durableSchema, Durability{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if !bytes.Equal(saveBytesDurable(t, db2), want) {
+		t.Fatal("recovery after registration-driven compaction differs")
+	}
+}
+
+// TestDurableSerialDeltaWALBytes: a serial data-variant commit logs its
+// fact delta, so a one-fact commit appends the same WAL bytes whatever
+// the state size; a rule-changing commit still logs the whole state.
+func TestDurableSerialDeltaWALBytes(t *testing.T) {
+	walGrowth := func(preload int) (int64, []obs.Event) {
+		rec := &eventRecorder{}
+		db, _, err := OpenDurable(durableSchema, Durability{Dir: t.TempDir(), Fsync: FsyncOff},
+			WithTracer(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if preload > 0 {
+			var b strings.Builder
+			b.WriteString("mode ridv.\nrules\n")
+			for i := 0; i < preload; i++ {
+				fmt.Fprintf(&b, "  q1(x: %d).\n", i)
+			}
+			b.WriteString("end.\n")
+			if _, err := db.Exec(b.String()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before, _ := db.Durability()
+		if _, err := db.Exec(durableMod("q0", 1)); err != nil {
+			t.Fatal(err)
+		}
+		after, _ := db.Durability()
+		if _, err := db.Exec("mode radi.\nrules\n  q2(x: X) <- q0(x: X).\nend.\n"); err != nil {
+			t.Fatal(err)
+		}
+		return after.WALBytes - before.WALBytes, rec.byKind(obs.KindWALAppend)
+	}
+	empty, _ := walGrowth(0)
+	loaded, appends := walGrowth(2000)
+	if empty != loaded {
+		t.Fatalf("one-fact serial commit appended %d WAL bytes at 0 facts, %d at 2000", empty, loaded)
+	}
+	var types []string
+	for _, ev := range appends {
+		types = append(types, ev.Pred)
+	}
+	if got := strings.Join(types, ","); got != "delta,delta,replace" {
+		t.Fatalf("WAL record types = %s, want delta,delta,replace", got)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Crash matrix: kill at every durability boundary under concurrency
 // ---------------------------------------------------------------------------
@@ -241,10 +321,11 @@ func durableOps() []durableOp {
 	return ops
 }
 
-// runCrashWorkload applies ops concurrently against a durable database
-// and returns which ops were acked (committed without error). The
-// database is abandoned afterwards, as a crashed process would.
-func runCrashWorkload(t *testing.T, dir string, workers int) (acked map[durableOp]bool) {
+// runCrashWorkload applies ops concurrently against a durable database —
+// optimistically, or through serial Exec — and returns which ops were
+// acked (committed without error). The database is abandoned
+// afterwards, as a crashed process would.
+func runCrashWorkload(t *testing.T, dir string, workers int, serial bool) (acked map[durableOp]bool) {
 	t.Helper()
 	db, _, err := OpenDurable(durableSchema,
 		Durability{Dir: dir, Fsync: FsyncAlways, CompactEvery: 5},
@@ -265,7 +346,11 @@ func runCrashWorkload(t *testing.T, dir string, workers int) (acked map[durableO
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if _, err := db.ExecConcurrent(durableMod(op.pred, op.val)); err == nil {
+			exec := db.ExecConcurrent
+			if serial {
+				exec = db.Exec
+			}
+			if _, err := exec(durableMod(op.pred, op.val)); err == nil {
 				mu.Lock()
 				acked[op] = true
 				mu.Unlock()
@@ -277,9 +362,13 @@ func runCrashWorkload(t *testing.T, dir string, workers int) (acked map[durableO
 }
 
 func TestDurableCrashMatrix(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+	for _, cfg := range []struct {
+		name    string
+		workers int
+		serial  bool
+	}{{"w1", 1, false}, {"w4", 4, false}, {"serial", 1, true}} {
+		workers, serial := cfg.workers, cfg.serial
+		t.Run(cfg.name, func(t *testing.T) {
 			// Pass 1: count fault-point crossings in a clean run. Under
 			// concurrency the exact count varies slightly run to run
 			// (compaction timing); the clean count is a good census of
@@ -292,7 +381,7 @@ func TestDurableCrashMatrix(t *testing.T) {
 				mu.Unlock()
 				return nil
 			}
-			runCrashWorkload(t, t.TempDir(), workers)
+			runCrashWorkload(t, t.TempDir(), workers, serial)
 			hooks.StorageFault = nil
 			if crossings == 0 {
 				t.Fatal("workload crossed no fault points")
@@ -319,7 +408,7 @@ func TestDurableCrashMatrix(t *testing.T) {
 					}
 					return nil
 				}
-				acked := runCrashWorkload(t, dir, workers)
+				acked := runCrashWorkload(t, dir, workers, serial)
 				hooks.StorageFault = nil
 
 				if ok, err := storage.Exists(dir); err != nil || !ok {

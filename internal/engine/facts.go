@@ -622,6 +622,44 @@ func (s *FactSet) Clone() *FactSet {
 	return n
 }
 
+// Diff returns the facts of s missing from before (adds) and the facts of
+// before missing from s (removes), each in key order. Membership is
+// decided on the stored fact keys, so no key is rebuilt.
+func (s *FactSet) Diff(before *FactSet) (adds, removes []Fact) {
+	return s.diffPreds(before, nil)
+}
+
+// diffPreds is Diff restricted to preds (nil = every predicate of
+// either set).
+func (s *FactSet) diffPreds(before *FactSet, preds []string) (adds, removes []Fact) {
+	if preds == nil {
+		for p := range s.byPred {
+			preds = append(preds, p)
+		}
+		for p := range before.byPred {
+			if _, ok := s.byPred[p]; !ok {
+				preds = append(preds, p)
+			}
+		}
+	}
+	a, r := &factsByKey{}, &factsByKey{}
+	minus := func(out *factsByKey, m, o map[string]Fact) {
+		for k, f := range m {
+			if _, ok := o[k]; !ok {
+				out.facts = append(out.facts, f)
+				out.keys = append(out.keys, k)
+			}
+		}
+	}
+	for _, p := range preds {
+		minus(a, s.byPred[p], before.byPred[p])
+		minus(r, before.byPred[p], s.byPred[p])
+	}
+	sort.Sort(a)
+	sort.Sort(r)
+	return a.facts, r.facts
+}
+
 // Equal reports whether two sets contain exactly the same facts.
 func (s *FactSet) Equal(o *FactSet) bool {
 	if s.TotalSize() != o.TotalSize() {

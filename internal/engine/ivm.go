@@ -473,20 +473,7 @@ func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter i
 	// except that DRed's delete-then-rederive can put one fact in both
 	// halves (net unchanged).
 	viewDiff := &ViewDelta{}
-	for _, p := range waveAdds.Preds() {
-		for _, f := range waveAdds.Facts(p) {
-			if !waveRemoves.Has(f) {
-				viewDiff.Adds = append(viewDiff.Adds, f)
-			}
-		}
-	}
-	for _, p := range waveRemoves.Preds() {
-		for _, f := range waveRemoves.Facts(p) {
-			if !waveAdds.Has(f) {
-				viewDiff.Removes = append(viewDiff.Removes, f)
-			}
-		}
-	}
+	viewDiff.Adds, viewDiff.Removes = waveAdds.Diff(waveRemoves)
 
 	vd := &ViewDelta{}
 	if m.suffix >= len(m.prog.strata) {
@@ -513,22 +500,8 @@ func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter i
 		for p := range cand {
 			preds = append(preds, p)
 		}
-		sort.Strings(preds)
-		for _, p := range preds {
-			for _, f := range m.full.Facts(p) {
-				if !oldFull.Has(f) {
-					vd.Adds = append(vd.Adds, f)
-				}
-			}
-			for _, f := range oldFull.Facts(p) {
-				if !m.full.Has(f) {
-					vd.Removes = append(vd.Removes, f)
-				}
-			}
-		}
+		vd.Adds, vd.Removes = m.full.diffPreds(oldFull, preds)
 	}
-	sort.Slice(vd.Adds, func(i, j int) bool { return vd.Adds[i].Key() < vd.Adds[j].Key() })
-	sort.Slice(vd.Removes, func(i, j int) bool { return vd.Removes[i].Key() < vd.Removes[j].Key() })
 	rollback := func() {
 		m.view, m.full = prevView, prevFull
 		m.baseE, m.fullCounter = prevBaseE, prevCounter

@@ -403,6 +403,60 @@ func TestFactSetKeyOrderAfterAdds(t *testing.T) {
 	}
 }
 
+// Diff agrees with membership through Has, covers predicates present on
+// one side only and class-fact replacement, and returns both halves in
+// strict key order.
+func TestFactSetDiff(t *testing.T) {
+	node := func(oid, tag int64) Fact {
+		return Fact{Pred: "node", IsClass: true, OID: value.OID(oid), Tuple: value.NewTuple(
+			value.Field{Label: "tag", Value: value.Int(tag)},
+		)}
+	}
+	before := randomEdgeFacts(20, 60, 1)
+	before.Add(node(1, 10))
+	before.Add(node(2, 20))
+	before.Add(Fact{Pred: "gone", Tuple: value.NewTuple(value.Field{Label: "x", Value: value.Int(1)})})
+	before.Freeze()
+	after := before.Clone()
+	for i := 0; i < 10; i++ {
+		after.Remove(before.Facts("edge")[i*3])
+		after.Add(edgeFact(100+i, 200-i))
+	}
+	after.Add(node(2, 21)) // ⊕ replacement: one remove, one add
+	after.Add(node(3, 30))
+	after.Remove(before.Facts("gone")[0])
+	after.Add(Fact{Pred: "fresh", Tuple: value.NewTuple(value.Field{Label: "x", Value: value.Int(2)})})
+
+	adds, removes := after.Diff(before)
+	check := func(name string, got []Fact, in, notIn *FactSet) {
+		t.Helper()
+		want := 0
+		for _, p := range in.Preds() {
+			for _, f := range in.Facts(p) {
+				if !notIn.Has(f) {
+					want++
+				}
+			}
+		}
+		if len(got) != want {
+			t.Fatalf("%s: %d facts, want %d", name, len(got), want)
+		}
+		for i, f := range got {
+			if !in.Has(f) || notIn.Has(f) {
+				t.Fatalf("%s: %v is not in the difference", name, f)
+			}
+			if i > 0 && got[i-1].Key() >= f.Key() {
+				t.Fatalf("%s out of key order at %d: %q >= %q", name, i, got[i-1].Key(), f.Key())
+			}
+		}
+	}
+	check("adds", adds, after, before)
+	check("removes", removes, before, after)
+	if a, r := after.Diff(after.Clone()); len(a)+len(r) != 0 {
+		t.Fatalf("self diff = %d adds, %d removes", len(a), len(r))
+	}
+}
+
 // Class-fact replacement (⊕ right bias), by Add and by Merge, must keep the
 // cache consistent.
 func TestFactSetCacheClassReplace(t *testing.T) {

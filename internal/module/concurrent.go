@@ -7,18 +7,19 @@ import (
 	"logres/internal/value"
 )
 
-// SnapshotResult is one optimistic application attempt, evaluated
-// against a frozen snapshot outside the database lock. It carries
-// everything the commit critical section needs: the effective footprint
-// to validate, and either a fact-level delta to merge onto the current
-// committed state (the concurrent fast path) or a whole-state
-// replacement (rule/schema-changing modes, which conflict with every
-// concurrent commit anyway).
+// SnapshotResult is one application evaluated against a frozen
+// published state — outside the database lock for an optimistic
+// attempt, under it for a serial one. It carries everything the commit
+// pipeline needs: the effective footprint to validate, and either a
+// fact-level delta to merge onto the current committed state or a
+// whole-state replacement (rule/schema-changing modes, which conflict
+// with every concurrent commit anyway).
 type SnapshotResult struct {
 	// Res is the ordinary Apply result against the snapshot.
 	Res *Result
-	// Footprint is the effective access set: the static analysis widened
-	// by what the run actually touched ($oid$ when identity moved).
+	// Footprint is the effective access set (Analyze): the static
+	// analysis widened by what the run actually touched ($oid$ when
+	// identity moved).
 	Footprint guard.Footprint
 	// Adds and Removes are the extensional delta E1 − E0 and E0 − E1,
 	// valid when neither ReadOnly nor Replace is set. Commit order is
@@ -34,63 +35,58 @@ type SnapshotResult struct {
 	// since the snapshot.
 	Replace bool
 	// Deferred marks an application whose final instance validation was
-	// skipped (ApplyDeferred): the committer must audit consistency and
-	// the passive constraints before installing the state.
+	// skipped (ApplySnapshot's deferValidation): the committer must audit
+	// consistency and the passive constraints before installing the state.
 	Deferred bool
 }
 
 // ApplySnapshot applies m to the snapshot state st and packages the
-// outcome for optimistic commit. st must be a published snapshot: its
-// fact set frozen, never mutated (Apply's clone discipline guarantees
-// the application itself cannot touch it).
-func ApplySnapshot(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (*SnapshotResult, error) {
-	return applySnapshot(st, m, mode, opts, false)
+// outcome for commit. st must be a published snapshot: its fact set
+// frozen, never mutated (Apply's clone discipline guarantees the
+// application itself cannot touch it). With deferValidation an eligible
+// application (CanDeferValidation — exactly the delta-committing ones)
+// skips its final instance validation and the result carries
+// Deferred=true; ineligible applications validate as usual. The result
+// carries no footprint until Analyze computes one.
+func ApplySnapshot(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, deferValidation bool) (*SnapshotResult, error) {
+	delta := CanDeferValidation(st, m, mode)
+	deferred := deferValidation && delta
+	res, err := apply(st, m, mode, opts, deferred)
+	if err != nil {
+		return nil, err
+	}
+	// The fast and replace paths publish the result as is: build its read
+	// indexes here, outside the commit's write lock.
+	res.State.E.Freeze()
+	sr := &SnapshotResult{Res: res, Deferred: deferred}
+	switch {
+	case mode == ast.RIDI:
+		sr.ReadOnly = true
+	case !delta:
+		// Rule-changing modes and schema- or rule-changing data variants
+		// replace the whole state.
+		sr.Replace = true
+	default:
+		sr.CounterDelta = res.State.Counter - st.Counter
+		sr.Adds, sr.Removes = res.State.E.Diff(st.E)
+	}
+	return sr, nil
 }
 
-// ApplySnapshotDeferred is ApplySnapshot with deferred validation when
-// the application is eligible (CanDeferValidation — exactly the
-// delta-committing applications): the result carries Deferred=true and
-// the committer must audit the new state before installing it.
-// Ineligible applications validate inside Apply as usual.
-func ApplySnapshotDeferred(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (*SnapshotResult, error) {
-	return applySnapshot(st, m, mode, opts, true)
-}
-
-func applySnapshot(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, allowDefer bool) (*SnapshotResult, error) {
+// Analyze computes the footprint an optimistic commit validates: the
+// static analysis of applying m to st (StaticFootprint), widened by what
+// the run actually touched. Serial commits record a universal write and
+// skip it.
+func (sr *SnapshotResult) Analyze(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) error {
 	fp, err := StaticFootprint(st, m, mode, opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	deferred := allowDefer && CanDeferValidation(st, m, mode)
-	var res *Result
-	if deferred {
-		res, err = ApplyDeferred(st, m, mode, opts)
-	} else {
-		res, err = Apply(st, m, mode, opts)
+	sr.Footprint = *fp
+	if sr.ReadOnly || sr.Replace {
+		return nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	sr := &SnapshotResult{Res: res, Footprint: *fp, Deferred: deferred}
-	switch mode {
-	case ast.RIDI:
-		sr.ReadOnly = true
-		return sr, nil
-	case ast.RADI, ast.RDDI:
-		sr.Replace = true
-		return sr, nil
-	}
-	// Schema- or rule-changing data variants replace the whole state;
-	// the remaining applications — exactly the deferral-eligible ones —
-	// commit as fact deltas.
-	if !CanDeferValidation(st, m, mode) {
-		sr.Replace = true
-		return sr, nil
-	}
-
-	sr.CounterDelta = res.State.Counter - st.Counter
-	sr.Adds, sr.Removes = diffFacts(st.E, res.State.E, &sr.Footprint)
-
+	widenWrites(&sr.Footprint, sr.Adds, sr.Removes)
 	touchedOID := sr.CounterDelta != 0
 	if !touchedOID {
 		// Class facts re-binding pre-existing oids (oid unification from
@@ -109,72 +105,27 @@ func applySnapshot(st *State, m *ast.Module, mode ast.Mode, opts engine.Options,
 		sr.Footprint.Writes = append(sr.Footprint.Writes, PredOID)
 		sr.Footprint.Normalize()
 	}
-	return sr, nil
+	return nil
 }
 
-// diffFacts computes the delta between the snapshot extension e0 and the
-// result extension e1. The candidate predicates come from the static
-// write analysis; a per-predicate size audit over the full predicate
-// union catches any analysis miss (inflationary runs only grow and RDDV
-// only shrinks, so a missed write always shows as a size change) and
-// falls back to a full diff, widening the footprint with the missed
-// predicates.
-func diffFacts(e0, e1 *engine.FactSet, fp *guard.Footprint) (adds, removes []engine.Fact) {
-	candidates := map[string]bool{}
-	if !fp.Universal {
-		for _, p := range fp.Writes {
-			if !IsPseudoPred(p) {
-				candidates[p] = true
-			}
-		}
-		audit := map[string]bool{}
-		for _, p := range e0.Preds() {
-			audit[p] = true
-		}
-		for _, p := range e1.Preds() {
-			audit[p] = true
-		}
-		for p := range audit {
-			if !candidates[p] && e0.Size(p) != e1.Size(p) {
-				// Static analysis missed a write: be conservative.
-				fp.Universal = true
-				break
-			}
-		}
-	}
-	if fp.Universal {
-		candidates = map[string]bool{}
-		for _, p := range e0.Preds() {
-			candidates[p] = true
-		}
-		for _, p := range e1.Preds() {
-			candidates[p] = true
-		}
-	}
+// widenWrites adds every predicate the delta touched to the footprint's
+// write set. A touched predicate the static analysis did not predict
+// means the analysis missed a write, so the footprint turns Universal —
+// conservative.
+func widenWrites(fp *guard.Footprint, adds, removes []engine.Fact) {
 	widened := false
-	for p := range candidates {
-		touched := false
-		for _, f := range e1.Facts(p) {
-			if !e0.Has(f) {
-				adds = append(adds, f)
-				touched = true
+	for _, fs := range [][]engine.Fact{adds, removes} {
+		for _, f := range fs {
+			if !containsStr(fp.Writes, f.Pred) {
+				fp.Writes = append(fp.Writes, f.Pred)
+				fp.Universal = true
+				widened = true
 			}
-		}
-		for _, f := range e0.Facts(p) {
-			if !e1.Has(f) {
-				removes = append(removes, f)
-				touched = true
-			}
-		}
-		if touched && !containsStr(fp.Writes, p) {
-			fp.Writes = append(fp.Writes, p)
-			widened = true
 		}
 	}
 	if widened {
 		fp.Normalize()
 	}
-	return adds, removes
 }
 
 func containsStr(s []string, p string) bool {
@@ -186,26 +137,45 @@ func containsStr(s []string, p string) bool {
 	return false
 }
 
-// CommitDelta merges a validated snapshot delta onto the current
-// committed state: clone the committed extension, apply removes then
-// adds, advance the counter by the attempt's consumption, and keep the
-// committed R/S/Lib (a delta commit never changes them). The returned
-// state is freshly built and safe to publish.
-func CommitDelta(committed *State, sr *SnapshotResult) *State {
+// CommitDelta applies a validated fact delta to a committed state: clone
+// the extension, apply removes then adds, advance the counter by
+// counterDelta, and keep R/S/Lib (a delta commit never changes them). The
+// returned state is freshly built and safe to publish. Both the live
+// merge commit and WAL replay of a delta record go through it, so a
+// replayed state's SaveState bytes equal the committed state's.
+func CommitDelta(committed *State, removes, adds []engine.Fact, counterDelta int64) *State {
 	next := &State{
 		E:       committed.E.Clone(),
 		R:       committed.R,
 		S:       committed.S,
-		Counter: committed.Counter + sr.CounterDelta,
+		Counter: committed.Counter + counterDelta,
 		Lib:     committed.Lib,
 	}
-	for _, f := range sr.Removes {
+	for _, f := range removes {
 		next.E.Remove(f)
 	}
-	for _, f := range sr.Adds {
+	for _, f := range adds {
 		next.E.Add(f)
 	}
 	return next
+}
+
+// RegisterModule returns the successor of st whose library additionally
+// holds m. The published library is never mutated in place (concurrent
+// snapshot holders may read it outside the lock): the library is cloned
+// and the rest of the state shared. Both Database.Register and WAL
+// replay of a registration record go through it.
+func RegisterModule(st *State, m *ast.Module) (*State, error) {
+	lib := NewLibrary()
+	if st.Lib != nil {
+		lib = st.Lib.Clone()
+	}
+	if err := lib.Register(m); err != nil {
+		return nil, err
+	}
+	next := *st
+	next.Lib = lib
+	return &next, nil
 }
 
 // subtractionChangesRules reports whether removing sub from rules would

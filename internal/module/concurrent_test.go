@@ -168,7 +168,7 @@ rules
   orders(id: 3).
 end.
 `)
-	sr, err := ApplySnapshot(st, m, ast.RIDV, opts())
+	sr, err := ApplySnapshot(st, m, ast.RIDV, opts(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ end.
 		t.Fatalf("adds=%d removes=%d", len(sr.Adds), len(sr.Removes))
 	}
 	// Replaying the delta on the snapshot reproduces Apply's result.
-	replay := CommitDelta(st, sr)
+	replay := CommitDelta(st, sr.Removes, sr.Adds, sr.CounterDelta)
 	if !replay.E.Equal(sr.Res.State.E) {
 		t.Fatal("CommitDelta does not reproduce the applied state")
 	}
@@ -204,7 +204,7 @@ rules
   orders(id: 1).
 end.
 `)
-	sr, err := ApplySnapshot(st, m, ast.RDDV, opts())
+	sr, err := ApplySnapshot(st, m, ast.RDDV, opts(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ end.
 	if len(sr.Removes) != 1 || sr.Removes[0].Pred != "orders" {
 		t.Fatalf("removes = %+v", sr.Removes)
 	}
-	replay := CommitDelta(st, sr)
+	replay := CommitDelta(st, sr.Removes, sr.Adds, sr.CounterDelta)
 	if !replay.E.Equal(sr.Res.State.E) {
 		t.Fatal("CommitDelta does not reproduce the deletion")
 	}
@@ -231,7 +231,10 @@ rules
   extra(n: 1).
 end.
 `)
-	sr, err := ApplySnapshot(st, m, ast.RIDV, opts())
+	sr, err := ApplySnapshot(st, m, ast.RIDV, opts(), false)
+	if err == nil {
+		err = sr.Analyze(st, m, ast.RIDV, opts())
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +255,10 @@ goal
   ?- orders(id: X).
 end.
 `)
-	sr, err := ApplySnapshot(st, m, ast.RIDI, opts())
+	sr, err := ApplySnapshot(st, m, ast.RIDI, opts(), false)
+	if err == nil {
+		err = sr.Analyze(st, m, ast.RIDI, opts())
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

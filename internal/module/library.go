@@ -66,12 +66,22 @@ func (l *Library) Names() []string {
 	return out
 }
 
-// Call applies the named module to a state with its declared mode.
-func (l *Library) Call(st *State, name string, opts engine.Options) (*Result, error) {
+// Lookup returns a registered module, or an error naming the registered
+// ones.
+func (l *Library) Lookup(name string) (*ast.Module, error) {
 	m, ok := l.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("module: no module named %q; registered: %s",
 			name, strings.Join(l.Names(), ", "))
+	}
+	return m, nil
+}
+
+// Call applies the named module to a state with its declared mode.
+func (l *Library) Call(st *State, name string, opts engine.Options) (*Result, error) {
+	m, err := l.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return ApplyDeclared(st, m, opts)
 }

@@ -94,7 +94,16 @@ type Result struct {
 // (inconsistent new instance) the error describes the violation and the
 // original state remains valid. mode overrides the module's declared
 // default; pass m.Mode (or use ApplyDeclared) to honour the declaration.
-func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (_ *Result, err error) {
+func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (*Result, error) {
+	return apply(st, m, mode, opts, false)
+}
+
+// apply is Apply, optionally with deferred validation: when deferValidation
+// is set (only legal when CanDeferValidation holds) the final instance
+// validation is skipped, the Result carries a nil Instance, and the caller
+// must verify Definition 4 consistency and the passive constraints against
+// the new state before committing it.
+func apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, deferValidation bool) (_ *Result, err error) {
 	// Application is all-or-nothing: every mode works on a clone of st, so
 	// on any abort — budget, cancellation, or a panic converted here — the
 	// caller's state is bit-identical to its pre-application snapshot.
@@ -126,12 +135,8 @@ func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (_ *Res
 		return applyRuleChange(st, m, opts, true)
 	case ast.RDDI:
 		return applyRuleChange(st, m, opts, false)
-	case ast.RIDV:
-		return applyDataVariant(st, m, opts, ast.RIDV, false)
-	case ast.RADV:
-		return applyDataVariant(st, m, opts, ast.RADV, false)
-	case ast.RDDV:
-		return applyDataVariant(st, m, opts, ast.RDDV, false)
+	case ast.RIDV, ast.RADV, ast.RDDV:
+		return applyDataVariant(st, m, opts, mode, deferValidation)
 	}
 	return nil, fmt.Errorf("module: unknown mode %v", mode)
 }
@@ -141,10 +146,10 @@ func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (_ *Res
 // changes neither the schema nor the persistent rules, so the new
 // state differs from st only in (E, Counter). For such applications a
 // caller maintaining the derived instance incrementally can skip the
-// from-scratch instance computation inside Apply and audit consistency
-// itself at commit time (ApplyDeferred). The predicate agrees exactly
-// with the delta/Replace split of ApplySnapshot: eligible applications
-// are the ones that would take the delta path.
+// from-scratch instance computation and audit consistency itself at
+// commit time (ApplySnapshot's deferValidation). The predicate agrees
+// exactly with the delta/Replace split of ApplySnapshot: eligible
+// applications are the ones that commit as fact deltas.
 func CanDeferValidation(st *State, m *ast.Module, mode ast.Mode) bool {
 	switch mode {
 	case ast.RIDV, ast.RADV, ast.RDDV:
@@ -165,38 +170,6 @@ func CanDeferValidation(st *State, m *ast.Module, mode ast.Mode) bool {
 		}
 	}
 	return true
-}
-
-// ApplyDeferred is Apply with the final instance validation skipped:
-// the Result carries the new state but a nil Instance, and the caller
-// is responsible for verifying Definition 4 consistency and the
-// passive constraints against the new state before committing it. Only
-// legal when CanDeferValidation holds for the same arguments.
-func ApplyDeferred(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (_ *Result, err error) {
-	defer shieldPanic(&err)
-	if t := opts.Tracer; t != nil {
-		t.Event(obs.Event{Kind: obs.KindModuleBegin, Pred: m.Name, Detail: mode.String(),
-			Count: len(m.Rules)})
-		start := time.Now()
-		defer func() {
-			ev := obs.Event{Kind: obs.KindModuleEnd, Pred: m.Name, Detail: mode.String(),
-				Duration: time.Since(start)}
-			if err != nil {
-				ev.Detail = mode.String() + ": " + err.Error()
-			}
-			t.Event(ev)
-		}()
-	}
-	if !CanDeferValidation(st, m, mode) {
-		return nil, fmt.Errorf("module: mode %s application is not eligible for deferred validation", mode)
-	}
-	if !mode.HasGoal() && len(m.Goal) > 0 {
-		return nil, fmt.Errorf("module: mode %s does not admit a goal (§4.1)", mode)
-	}
-	if m.NonInflationary {
-		opts.NonInflationary = true
-	}
-	return applyDataVariant(st, m, opts, mode, true)
 }
 
 // ApplyDeclared applies the module with its declared mode (RIDI when none

@@ -23,7 +23,7 @@
 // the replay: the bytes from there to EOF move to a quarantine file,
 // the WAL is truncated to the valid prefix, and the condition is
 // reported as a non-fatal *RecoveryError — the database resumes from
-// the last durable commit. Because delta replay mirrors
+// the last durable commit. Because delta replay runs
 // module.CommitDelta and FactSet ordering is canonical, a recovered
 // state's SaveState bytes equal the committed state's exactly.
 package storage

@@ -7,11 +7,11 @@
 //
 // Each payload is one replayable commit keyed by its CommitEpoch:
 //
-//	delta    — a validated optimistic commit's fact delta (the
-//	           CommitDelta footprint writes + removes + adds + oid
-//	           counter advance from internal/module);
-//	replace  — a whole-state replacement (serial commits and
-//	           rule/schema-changing modes), embedded as SaveState bytes;
+//	delta    — a data-variant commit's fact delta, serial or
+//	           optimistic (the footprint writes + removes + adds + oid
+//	           counter advance module.CommitDelta applies);
+//	replace  — a whole-state replacement (rule- or schema-changing
+//	           commits and materialization), embedded as SaveState bytes;
 //	register — a module-library registration, embedded as the module's
 //	           canonical source.
 //
@@ -76,9 +76,10 @@ type WALRecord struct {
 	Type  RecordType
 	Epoch uint64
 
-	// Delta payload: the committed write footprint, the oid-counter
-	// advance, and the extensional delta (removes apply before adds,
-	// mirroring module.CommitDelta).
+	// Delta payload: the committed write footprint (empty for a serial
+	// commit, which carries no analysis), the oid-counter advance, and
+	// the extensional delta (removes apply before adds, as in
+	// module.CommitDelta).
 	Writes       []string
 	CounterDelta int64
 	Removes      []engine.Fact
@@ -250,26 +251,14 @@ func readFrame(r io.Reader) ([]byte, error) {
 }
 
 // applyRecord replays one WAL record onto st, returning the successor
-// state. Delta replay mirrors module.CommitDelta exactly (clone, removes
-// then adds, counter advance), so a replayed state's SaveState bytes
-// equal the originally committed state's.
+// state. Delta and registration records replay through the same module
+// functions the live commit used (module.CommitDelta,
+// module.RegisterModule), so a replayed state's SaveState bytes equal
+// the originally committed state's.
 func applyRecord(st *module.State, rec *WALRecord) (*module.State, error) {
 	switch rec.Type {
 	case RecDelta:
-		next := &module.State{
-			E:       st.E.Clone(),
-			R:       st.R,
-			S:       st.S,
-			Counter: st.Counter + rec.CounterDelta,
-			Lib:     st.Lib,
-		}
-		for _, f := range rec.Removes {
-			next.E.Remove(f)
-		}
-		for _, f := range rec.Adds {
-			next.E.Add(f)
-		}
-		return next, nil
+		return module.CommitDelta(st, rec.Removes, rec.Adds, rec.CounterDelta), nil
 	case RecReplace:
 		return LoadState(bytes.NewReader(rec.State))
 	case RecRegister:
@@ -277,18 +266,7 @@ func applyRecord(st *module.State, rec *WALRecord) (*module.State, error) {
 		if err != nil {
 			return nil, fmt.Errorf("storage: replaying registration: %w", err)
 		}
-		lib := st.Lib
-		if lib == nil {
-			lib = module.NewLibrary()
-		} else {
-			lib = lib.Clone()
-		}
-		if err := lib.Register(m); err != nil {
-			return nil, err
-		}
-		next := *st
-		next.Lib = lib
-		return &next, nil
+		return module.RegisterModule(st, m)
 	}
 	return nil, fmt.Errorf("storage: cannot replay wal record type %d", rec.Type)
 }

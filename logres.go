@@ -306,53 +306,22 @@ func (db *Database) ApplyContext(ctx context.Context, m *Module, mode Mode, opti
 	opts.Ctx = ctx
 	finish := instrumentCall(ctx, &opts, options)
 	defer finish()
-	if db.maintDeferUsable() && module.CanDeferValidation(db.st, m, mode) {
-		// Deferred validation (view.go): skip the from-scratch instance
-		// computation inside Apply and audit the incrementally maintained
-		// instance at commit time instead.
-		res, err := module.ApplyDeferred(db.st, m, mode, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.commitSerialStaged(opts, res.State); err != nil {
-			return nil, err
-		}
-		return &Result{Answer: res.Answer, Mode: mode}, nil
-	}
-	res, err := module.Apply(db.st, m, mode, opts)
+	return db.applySerial(opts, m, mode)
+}
+
+// applySerial applies m to the published state under the write lock and
+// commits the outcome through the pipeline (commit.go). Deferred
+// validation (view.go) applies whenever the maintainer can audit the
+// commit incrementally. Callers hold the write lock.
+func (db *Database) applySerial(opts engine.Options, m *Module, mode Mode) (*Result, error) {
+	sr, err := module.ApplySnapshot(db.st, m, mode, opts, db.maintDeferUsable())
 	if err != nil {
 		return nil, err
 	}
-	if err := db.commitSerial(opts.Tracer, res.State); err != nil {
+	if _, _, err := db.commit(opts, change{sr: sr, epoch: db.log.Epoch(), serial: true}); err != nil {
 		return nil, err
 	}
-	return &Result{Answer: res.Answer, Mode: mode}, nil
-}
-
-// commitSerial publishes a state produced under the write lock by a
-// serial application and records the commit. Serial paths carry no
-// footprint analysis, so the recorded write set is universal — any
-// optimistic application in flight across this commit conservatively
-// conflicts and retries. Read-only applications (RIDI returns the input
-// state unchanged) record nothing. On a durable database the commit is
-// WAL-logged (as a whole-state replacement) before it is published; a
-// logging failure fails the commit and leaves the state untouched.
-// Callers hold the write lock; t is the committing call's tracer (for
-// WAL attribution — pass db.opts.Tracer when no per-call tracer
-// exists).
-func (db *Database) commitSerial(t Tracer, next *module.State) error {
-	if next == db.st {
-		return nil
-	}
-	if err := db.walAppendReplace(t, db.log.Epoch()+1, next); err != nil {
-		return err
-	}
-	prev := db.st
-	db.publish(next)
-	db.log.Record(engine.Footprint{Universal: true})
-	db.maybeCompact()
-	db.maintAfterReplace(t, prev)
-	return nil
+	return &Result{Answer: sr.Res.Answer, Mode: mode}, nil
 }
 
 // Query evaluates a goal (`?- lit, … .`) against the current instance —
@@ -466,7 +435,9 @@ func (db *Database) Materialize() error {
 	if err != nil {
 		return err
 	}
-	return db.commitSerial(db.opts.Tracer, st)
+	sr := &module.SnapshotResult{Res: &module.Result{State: st}, Replace: true}
+	_, _, err = db.commit(db.opts, change{sr: sr, epoch: db.log.Epoch(), serial: true})
+	return err
 }
 
 // CheckConsistency verifies Definition 4 and the passive constraints
@@ -520,30 +491,8 @@ func (db *Database) Register(src string) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Copy-on-write: concurrent applications hold snapshots of db.st and
-	// may clone its library outside the lock, so the published state is
-	// never mutated in place — a fresh state with a cloned library is
-	// built and swapped in. The empty-footprint record bumps the commit
-	// epoch so an in-flight whole-state replacement (rule/schema-changing
-	// commit) cannot silently drop the registration.
-	lib := db.st.Lib
-	if lib == nil {
-		lib = module.NewLibrary()
-	} else {
-		lib = lib.Clone()
-	}
-	if err := lib.Register(m); err != nil {
-		return err
-	}
-	if err := db.walAppendRegister(db.log.Epoch()+1, m); err != nil {
-		return err
-	}
-	next := *db.st
-	next.Lib = lib
-	db.st = &next
-	db.log.Record(engine.Footprint{})
-	db.maintAfterRegister(db.opts.Tracer)
-	return nil
+	_, _, err = db.commit(db.opts, change{reg: m})
+	return err
 }
 
 // Call applies a registered module by name with its declared mode.
@@ -564,15 +513,11 @@ func (db *Database) CallContext(ctx context.Context, name string, options ...Cal
 	opts.Ctx = ctx
 	finish := instrumentCall(ctx, &opts, options)
 	defer finish()
-	res, err := db.st.Lib.Call(db.st, name, opts)
+	m, err := db.st.Lib.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	m, _ := db.st.Lib.Get(name)
-	if err := db.commitSerial(opts.Tracer, res.State); err != nil {
-		return nil, err
-	}
-	return &Result{Answer: res.Answer, Mode: m.Mode}, nil
+	return db.applySerial(opts, m, m.Mode)
 }
 
 // Modules lists the registered module names.

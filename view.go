@@ -3,7 +3,6 @@ package logres
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -349,108 +348,48 @@ func (db *Database) maintValidate(s *types.Schema, vd *engine.ViewDelta) error {
 	return db.maint.CheckDenials()
 }
 
-// commitSerialStaged commits a deferred-validation serial application
-// (module.ApplyDeferred): the extensional delta is staged through the
-// maintainer first, the maintained instance is audited, and only then
-// does the commit land — on rejection or a WAL failure the staged
-// update rolls back and the database is untouched. The maintainer ends
-// the commit already synced, so the usual post-publish maintenance
-// hook is skipped and subscribers are notified directly.
-func (db *Database) commitSerialStaged(opts engine.Options, next *module.State) error {
-	t := opts.Tracer
-	if next == db.st {
-		return nil
-	}
-	adds, removes := diffFrozen(db.st.E, next.E)
-	start := time.Now()
-	vd, rollback, uerr := db.maint.UpdateStaged(adds, removes, next.E, next.Counter)
-	if uerr != nil {
-		// Propagation failed (e.g. budget abort mid-update): the
-		// maintainer is inconsistent. Validate the scratch way and let
-		// the post-commit hook rebuild it.
-		db.maintErr = uerr
-		if _, _, verr := next.Instance(opts); verr != nil {
-			return fmt.Errorf("module: rejected: %w", verr)
-		}
-		return db.commitSerial(t, next)
-	}
-	if verr := db.maintValidate(next.S, vd); verr != nil {
-		rollback()
-		return fmt.Errorf("module: rejected: %w", verr)
-	}
-	if err := db.walAppendReplace(t, db.log.Epoch()+1, next); err != nil {
-		rollback()
-		return err
-	}
-	db.publish(next)
-	db.log.Record(engine.Footprint{Universal: true})
-	db.maybeCompact()
-	epoch := db.log.Epoch()
-	if t != nil {
-		t.Event(obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Round: int(epoch),
-			Count: len(vd.Adds) + len(vd.Removes), Total: db.maint.Full().TotalSize(),
-			Duration: time.Since(start)})
-	}
-	db.notifySubs(t, epoch, vd)
-	return nil
-}
-
-// maintAfterDelta propagates a fact-level commit (the concurrent fast
-// and merge paths) through the maintenance state. Called under the
-// write lock after the commit published and recorded its epoch.
-func (db *Database) maintAfterDelta(t Tracer, adds, removes []Fact) {
+// maintAfterCommit is the pipeline's post-publish hook: it brings the
+// maintenance state up to the commit just published (db.st, at the
+// current epoch; prev is its predecessor) and fans the exact view diff
+// out. stg is the propagation validation already staged, if any; a
+// registration leaves (E, R, S) alone and delivers its epoch's empty
+// diff; a replacement that kept the rules and schema reduces to its
+// extensional delta; anything else the maintainer cannot follow is
+// rebuilt.
+func (db *Database) maintAfterCommit(t Tracer, prev *module.State, c change, stg staged) {
 	if !db.incremental {
 		return
 	}
 	epoch := db.log.Epoch()
-	if db.maint == nil || db.maintErr != nil {
+	vd, took := stg.vd, stg.took
+	switch {
+	case vd != nil:
+	case c.reg != nil:
+		db.notifySubs(t, epoch, &engine.ViewDelta{})
+		return
+	case db.maint == nil || db.maintErr != nil:
 		db.maintRebuild(t, epoch, "recover")
 		return
-	}
-	db.maintPropagate(t, epoch, adds, removes)
-}
-
-// maintAfterReplace handles whole-state commits (serial applications,
-// rule/schema-changing concurrent commits): when the rules and schema
-// are unchanged the commit reduces to an extensional delta and
-// propagates; otherwise the maintenance state is rebuilt against the
-// new program. prev is the state published before the commit.
-func (db *Database) maintAfterReplace(t Tracer, prev *module.State) {
-	if !db.incremental {
+	case c.sr.Replace && maintFingerprint(db.st) != db.maintFP:
+		db.maintRebuild(t, epoch, "replace")
 		return
-	}
-	epoch := db.log.Epoch()
-	if db.maint != nil && db.maintErr == nil && maintFingerprint(db.st) == db.maintFP {
-		adds, removes := diffFrozen(prev.E, db.st.E)
-		db.maintPropagate(t, epoch, adds, removes)
-		return
-	}
-	db.maintRebuild(t, epoch, "replace")
-}
-
-// maintAfterRegister covers module registrations: the commit epoch
-// advanced but (E, R, S) did not, so subscribers get their per-epoch
-// (empty) diff and the maintenance state is untouched.
-func (db *Database) maintAfterRegister(t Tracer) {
-	if !db.incremental {
-		return
-	}
-	db.notifySubs(t, db.log.Epoch(), &engine.ViewDelta{})
-}
-
-// maintPropagate runs one incremental update and fans the exact diff
-// out; a propagation error falls back to a rebuild (always correct).
-func (db *Database) maintPropagate(t Tracer, epoch uint64, adds, removes []Fact) {
-	start := time.Now()
-	vd, err := db.maint.Update(adds, removes, db.st.E, db.st.Counter)
-	if err != nil {
-		db.maintRebuild(t, epoch, "fallback: "+err.Error())
-		return
+	default:
+		adds, removes := c.sr.Adds, c.sr.Removes
+		if c.sr.Replace {
+			adds, removes = db.st.E.Diff(prev.E)
+		}
+		start := time.Now()
+		var err error
+		if vd, err = db.maint.Update(adds, removes, db.st.E, db.st.Counter); err != nil {
+			db.maintRebuild(t, epoch, "fallback: "+err.Error())
+			return
+		}
+		took = time.Since(start)
 	}
 	if t != nil {
 		t.Event(obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Round: int(epoch),
 			Count: len(vd.Adds) + len(vd.Removes), Total: db.maint.Full().TotalSize(),
-			Duration: time.Since(start)})
+			Duration: took})
 	}
 	db.notifySubs(t, epoch, vd)
 }
@@ -479,32 +418,6 @@ func (db *Database) maintRebuild(t Tracer, epoch uint64, reason string) {
 	if oldFull == nil {
 		oldFull = engine.NewFactSet()
 	}
-	vd.Adds, vd.Removes = diffFrozen(oldFull, db.maint.Full())
-	sortFacts(vd.Adds)
-	sortFacts(vd.Removes)
+	vd.Adds, vd.Removes = db.maint.Full().Diff(oldFull)
 	db.notifySubs(t, epoch, vd)
-}
-
-// diffFrozen computes the fact-level difference between two fact sets
-// (predicate union, membership check per fact).
-func diffFrozen(before, after *engine.FactSet) (adds, removes []Fact) {
-	for _, p := range after.Preds() {
-		for _, f := range after.Facts(p) {
-			if !before.Has(f) {
-				adds = append(adds, f)
-			}
-		}
-	}
-	for _, p := range before.Preds() {
-		for _, f := range before.Facts(p) {
-			if !after.Has(f) {
-				removes = append(removes, f)
-			}
-		}
-	}
-	return adds, removes
-}
-
-func sortFacts(fs []Fact) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Key() < fs[j].Key() })
 }
